@@ -28,6 +28,8 @@ use vex_core::prelude::*;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
 use vex_gvprof::GvProfSession;
+use vex_trace::codec::DecodeError;
+use vex_trace::container::TraceReader;
 use vex_workloads::{all_apps, GpuApp, Variant};
 
 /// Which device preset to simulate.
@@ -215,11 +217,10 @@ impl RecordArgs {
     }
 }
 
-/// Options of `vex replay`.
+/// The analysis flags `vex replay` and `vex diff` share:
+/// `--no-coarse`, `--fine`, `--races`, `--reuse N` and `--shards N`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReplayArgs {
-    /// Trace path.
-    pub path: String,
+pub struct ReplayAnalysis {
     /// Run the coarse pass (default true).
     pub coarse: bool,
     /// Run the fine pass (default false).
@@ -230,6 +231,72 @@ pub struct ReplayArgs {
     pub reuse: Option<u64>,
     /// Number of analysis shards (0 = synchronous engine).
     pub shards: usize,
+}
+
+impl Default for ReplayAnalysis {
+    fn default() -> Self {
+        ReplayAnalysis { coarse: true, fine: false, races: false, reuse: None, shards: 0 }
+    }
+}
+
+impl ReplayAnalysis {
+    /// Consumes `flag` (and its value from `it`) if it belongs to the
+    /// group; `Ok(false)` leaves it to the subcommand.
+    fn parse_flag<'a>(
+        &mut self,
+        flag: &str,
+        it: &mut impl Iterator<Item = &'a str>,
+    ) -> Result<bool, UsageError> {
+        match flag {
+            "--no-coarse" => self.coarse = false,
+            "--fine" => self.fine = true,
+            "--races" => self.races = true,
+            "--reuse" => {
+                self.reuse = Some(
+                    take_value(flag, it)?
+                        .parse()
+                        .map_err(|_| UsageError("invalid reuse line size".into()))?,
+                )
+            }
+            "--shards" => {
+                self.shards = take_value(flag, it)?
+                    .parse()
+                    .map_err(|_| UsageError("invalid shard count".into()))?
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Rejects a configuration with neither pass enabled.
+    fn validate(&self) -> Result<(), UsageError> {
+        if !self.coarse && !self.fine {
+            return Err(UsageError("at least one of coarse/fine must stay enabled".into()));
+        }
+        Ok(())
+    }
+
+    /// The profiler these flags configure.
+    fn builder(&self) -> ProfilerBuilder {
+        let b = ValueExpert::builder()
+            .coarse(self.coarse)
+            .fine(self.fine)
+            .race_detection(self.races)
+            .analysis_shards(self.shards);
+        match self.reuse {
+            Some(line) => b.reuse_distance(line),
+            None => b,
+        }
+    }
+}
+
+/// Options of `vex replay`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplayArgs {
+    /// Trace path.
+    pub path: String,
+    /// Which analyses to replay, and how.
+    pub analysis: ReplayAnalysis,
     /// Replay through the GVProf baseline instead of ValueExpert.
     pub gvprof: bool,
     /// GVProf kernel sampling period (only with `--gvprof`).
@@ -242,8 +309,8 @@ pub struct ReplayArgs {
     pub dot: Option<String>,
     /// Write a Markdown report here.
     pub md: Option<String>,
-    /// Worker threads decoding the trace's columnar batches (1 =
-    /// sequential decode).
+    /// Worker threads decoding the trace's columnar batches (only with
+    /// `--gvprof`; a streamed replay decodes inline).
     pub decode_threads: usize,
 }
 
@@ -251,11 +318,7 @@ impl ReplayArgs {
     fn new(path: String) -> Self {
         ReplayArgs {
             path,
-            coarse: true,
-            fine: false,
-            races: false,
-            reuse: None,
-            shards: 0,
+            analysis: ReplayAnalysis::default(),
             gvprof: false,
             kernel_sampling: 1,
             block_sampling: 1,
@@ -293,18 +356,8 @@ pub struct DiffArgs {
     pub ci: bool,
     /// Per-category threshold overrides (`--ci-threshold CAT=FRACTION`).
     pub category_thresholds: Vec<(DeltaCategory, f64)>,
-    /// Run the coarse pass on both traces (default true).
-    pub coarse: bool,
-    /// Run the fine pass on both traces (default false).
-    pub fine: bool,
-    /// Run race detection on both traces.
-    pub races: bool,
-    /// Reuse-distance line size, if enabled.
-    pub reuse: Option<u64>,
-    /// Number of analysis shards (0 = synchronous engine).
-    pub shards: usize,
-    /// Worker threads decoding each trace's columnar batches.
-    pub decode_threads: usize,
+    /// The analyses replayed on both traces.
+    pub analysis: ReplayAnalysis,
 }
 
 impl DiffArgs {
@@ -316,12 +369,7 @@ impl DiffArgs {
             format: DiffFormat::Text,
             ci: false,
             category_thresholds: Vec::new(),
-            coarse: true,
-            fine: false,
-            races: false,
-            reuse: None,
-            shards: 0,
-            decode_threads: 1,
+            analysis: ReplayAnalysis::default(),
         }
     }
 }
@@ -409,16 +457,17 @@ usage:
                spooled there instead of lost when the server stays down
                (`vex push --drain DIR` re-pushes it later)
   vex replay <trace.vex> [--no-coarse] [--fine] [--races] [--reuse LINE_BYTES]
-               [--shards N] [--decode-threads N] [--json PATH] [--dot PATH] [--md PATH]
-               re-run analyses offline from a recorded trace; reports are
-               byte-identical to a live session with the same options;
-               --decode-threads decodes columnar batches on N workers
+               [--shards N] [--json PATH] [--dot PATH] [--md PATH]
+               re-run analyses offline from a recorded trace, streaming it
+               one record batch at a time; reports are byte-identical to a
+               live session with the same options
   vex replay <trace.vex> --gvprof [--kernel-sampling N] [--block-sampling N]
                [--decode-threads N]
                replay a --fine trace through the GVProf baseline
+               (--decode-threads decodes columnar batches on N workers)
   vex diff <a.vex> <b.vex> [--threshold FRACTION] [--format text|json] [--ci]
                [--ci-threshold CATEGORY=FRACTION]... [--no-coarse] [--fine]
-               [--races] [--reuse LINE_BYTES] [--shards N] [--decode-threads N]
+               [--races] [--reuse LINE_BYTES] [--shards N]
                replay both traces with identical options and report what
                changed: per-object pattern appearances/disappearances,
                redundancy / dead-store / duplicate byte swings, access-count
@@ -500,6 +549,20 @@ fn take_value<'a, I: Iterator<Item = &'a str>>(
     it: &mut I,
 ) -> Result<&'a str, UsageError> {
     it.next().ok_or_else(|| UsageError(format!("{flag} requires a value")))
+}
+
+/// The value of a `--decode-threads` flag: a worker count of at least 1.
+fn decode_threads_value<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<usize, UsageError> {
+    let n: usize = take_value(flag, it)?
+        .parse()
+        .map_err(|_| UsageError("invalid decode thread count".into()))?;
+    if n == 0 {
+        return Err(UsageError("--decode-threads must be at least 1".into()));
+    }
+    Ok(n)
 }
 
 /// Parses a byte size with an optional `k`/`m`/`g` suffix (powers of
@@ -660,23 +723,11 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
             }
             let mut r = ReplayArgs::new(path.to_owned());
             while let Some(flag) = it.next() {
+                if r.analysis.parse_flag(flag, &mut it)? {
+                    continue;
+                }
                 match flag {
                     "--help" | "-h" => return Ok(Command::Help),
-                    "--no-coarse" => r.coarse = false,
-                    "--fine" => r.fine = true,
-                    "--races" => r.races = true,
-                    "--reuse" => {
-                        r.reuse = Some(
-                            take_value(flag, &mut it)?
-                                .parse()
-                                .map_err(|_| UsageError("invalid reuse line size".into()))?,
-                        )
-                    }
-                    "--shards" => {
-                        r.shards = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid shard count".into()))?
-                    }
                     "--gvprof" => r.gvprof = true,
                     "--kernel-sampling" => {
                         r.kernel_sampling = take_value(flag, &mut it)?
@@ -692,19 +743,13 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                     "--dot" => r.dot = Some(take_value(flag, &mut it)?.to_owned()),
                     "--md" => r.md = Some(take_value(flag, &mut it)?.to_owned()),
                     "--decode-threads" => {
-                        r.decode_threads = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid decode thread count".into()))?;
-                        if r.decode_threads == 0 {
-                            return Err(UsageError(
-                                "--decode-threads must be at least 1".into(),
-                            ));
-                        }
+                        r.decode_threads = decode_threads_value(flag, &mut it)?
                     }
                     other => return Err(UsageError(format!("unknown flag '{other}'"))),
                 }
             }
-            if r.gvprof && (r.fine || r.races || r.reuse.is_some() || !r.coarse || r.shards > 0)
+            let a = &r.analysis;
+            if r.gvprof && (a.fine || a.races || a.reuse.is_some() || !a.coarse || a.shards > 0)
             {
                 return Err(UsageError(
                     "--gvprof replays the baseline profiler and cannot be combined with \
@@ -719,8 +764,15 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                         .into(),
                 ));
             }
-            if !r.gvprof && !r.coarse && !r.fine {
-                return Err(UsageError("at least one of coarse/fine must stay enabled".into()));
+            if !r.gvprof && r.decode_threads > 1 {
+                return Err(UsageError(
+                    "--decode-threads only applies to --gvprof replays; a streamed replay \
+                     decodes each batch inline"
+                        .into(),
+                ));
+            }
+            if !r.gvprof {
+                a.validate()?;
             }
             Ok(Command::Replay(r))
         }
@@ -737,6 +789,9 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
             }
             let mut d = DiffArgs::new(path_a.to_owned(), path_b.to_owned());
             while let Some(flag) = it.next() {
+                if d.analysis.parse_flag(flag, &mut it)? {
+                    continue;
+                }
                 match flag {
                     "--help" | "-h" => return Ok(Command::Help),
                     "--threshold" => {
@@ -769,37 +824,10 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                         }
                         d.category_thresholds.push((cat, frac));
                     }
-                    "--no-coarse" => d.coarse = false,
-                    "--fine" => d.fine = true,
-                    "--races" => d.races = true,
-                    "--reuse" => {
-                        d.reuse = Some(
-                            take_value(flag, &mut it)?
-                                .parse()
-                                .map_err(|_| UsageError("invalid reuse line size".into()))?,
-                        )
-                    }
-                    "--shards" => {
-                        d.shards = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid shard count".into()))?
-                    }
-                    "--decode-threads" => {
-                        d.decode_threads = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid decode thread count".into()))?;
-                        if d.decode_threads == 0 {
-                            return Err(UsageError(
-                                "--decode-threads must be at least 1".into(),
-                            ));
-                        }
-                    }
                     other => return Err(UsageError(format!("unknown flag '{other}'"))),
                 }
             }
-            if !d.coarse && !d.fine {
-                return Err(UsageError("at least one of coarse/fine must stay enabled".into()));
-            }
+            d.analysis.validate()?;
             if !d.category_thresholds.is_empty() && !d.ci {
                 return Err(UsageError("--ci-threshold only applies with --ci".into()));
             }
@@ -882,14 +910,7 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                             .map_err(|_| UsageError("invalid cache capacity".into()))?
                     }
                     "--decode-threads" => {
-                        s.decode_threads = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid decode thread count".into()))?;
-                        if s.decode_threads == 0 {
-                            return Err(UsageError(
-                                "--decode-threads must be at least 1".into(),
-                            ));
-                        }
+                        s.decode_threads = decode_threads_value(flag, &mut it)?
                     }
                     "--memory-budget" => {
                         s.memory_budget = Some(parse_byte_size(take_value(flag, &mut it)?)?)
@@ -1241,23 +1262,7 @@ fn run_unit(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), UsageErro
                         .map_err(|e| UsageError(e.to_string()))?;
                 return write_gvprof_results(out, &results);
             }
-            let mut b = ValueExpert::builder()
-                .coarse(r.coarse)
-                .fine(r.fine)
-                .race_detection(r.races)
-                .analysis_shards(r.shards)
-                .decode_threads(r.decode_threads);
-            if let Some(line) = r.reuse {
-                b = b.reuse_distance(line);
-            }
-            // Projected parallel decode: only the columns the configured
-            // passes read are materialized, on the requested workers.
-            let trace = vex_trace::container::read_trace_file_with(
-                std::path::Path::new(&r.path),
-                &b.decode_options(),
-            )
-            .map_err(|e| UsageError(format!("cannot read trace '{}': {e}", r.path)))?;
-            let profile = b.replay(&trace).map_err(|e| UsageError(e.to_string()))?;
+            let profile = replay_file(r.analysis.builder(), &r.path)?;
             write!(out, "{}", profile.render_text_document()).map_err(io_err)?;
             if let Some(path) = &r.json {
                 let json = profile
@@ -1483,31 +1488,27 @@ fn write_info_json(
     write_json_doc(&doc, out)
 }
 
-/// Replays one trace for `vex diff` with the shared replay machinery.
-fn diff_replay(d: &DiffArgs, path: &str) -> Result<Profile, UsageError> {
-    let mut b = ValueExpert::builder()
-        .coarse(d.coarse)
-        .fine(d.fine)
-        .race_detection(d.races)
-        .analysis_shards(d.shards)
-        .decode_threads(d.decode_threads);
-    if let Some(line) = d.reuse {
-        b = b.reuse_distance(line);
-    }
-    let trace = vex_trace::container::read_trace_file_with(
-        std::path::Path::new(path),
-        &b.decode_options(),
-    )
-    .map_err(|e| UsageError(format!("cannot read trace '{path}': {e}")))?;
-    b.replay(&trace).map_err(|e| UsageError(e.to_string()))
+/// Streams the trace at `path` through `b` ([`ProfilerBuilder::replay_reader`]):
+/// one projected batch in memory at a time. A pass the trace did not
+/// record is reported from the header, before any frame is read; any
+/// decode failure — however late in the stream — fails the whole replay,
+/// so no partial report is ever rendered.
+fn replay_file(b: ProfilerBuilder, path: &str) -> Result<Profile, UsageError> {
+    let cannot_read = |e: DecodeError| UsageError(format!("cannot read trace '{path}': {e}"));
+    let file = std::fs::File::open(path).map_err(|e| cannot_read(e.into()))?;
+    let reader = TraceReader::new(std::io::BufReader::new(file)).map_err(cannot_read)?;
+    b.replay_reader(reader).map_err(|e| match e {
+        ReplayError::Decode(e) => cannot_read(e),
+        e => UsageError(e.to_string()),
+    })
 }
 
 /// `vex diff`: replay both traces with identical options, diff the
 /// profiles, render, and in `--ci` mode gate on regressions.
 fn run_diff(d: &DiffArgs, out: &mut dyn std::io::Write) -> Result<i32, UsageError> {
     let io_err = |e: std::io::Error| UsageError(format!("i/o error: {e}"));
-    let compared = diff_replay(d, &d.path_a).and_then(|a| {
-        let b = diff_replay(d, &d.path_b)?;
+    let compared = replay_file(d.analysis.builder(), &d.path_a).and_then(|a| {
+        let b = replay_file(d.analysis.builder(), &d.path_b)?;
         let mut opts = DiffOptions { threshold: d.threshold, ..DiffOptions::default() };
         for (cat, frac) in &d.category_thresholds {
             opts.category_thresholds.insert(*cat, *frac);
@@ -1728,11 +1729,11 @@ mod tests {
         match cmd {
             Command::Replay(r) => {
                 assert_eq!(r.path, "t.vex");
-                assert!(r.coarse);
-                assert!(r.fine);
-                assert!(r.races);
-                assert_eq!(r.reuse, Some(64));
-                assert_eq!(r.shards, 8);
+                assert!(r.analysis.coarse);
+                assert!(r.analysis.fine);
+                assert!(r.analysis.races);
+                assert_eq!(r.analysis.reuse, Some(64));
+                assert_eq!(r.analysis.shards, 8);
                 assert!(!r.gvprof);
                 assert_eq!(r.json.as_deref(), Some("p.json"));
                 assert_eq!(r.dot.as_deref(), Some("f.dot"));
@@ -1760,10 +1761,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // Explicit values.
-        match parse_args(["replay", "t.vex", "--decode-threads", "8"]).unwrap() {
-            Command::Replay(r) => assert_eq!(r.decode_threads, 8),
-            other => panic!("unexpected {other:?}"),
-        }
         match parse_args(["serve", "traces", "--decode-threads", "4"]).unwrap() {
             Command::Serve(s) => assert_eq!(s.decode_threads, 4),
             other => panic!("unexpected {other:?}"),
@@ -1776,6 +1773,11 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        // A streamed replay decodes inline: only --gvprof takes a pool.
+        let err = parse_args(["replay", "t.vex", "--decode-threads", "8"]).unwrap_err();
+        assert!(err.0.contains("only applies to --gvprof"), "{err:?}");
+        let err = parse_args(["diff", "a.vex", "b.vex", "--decode-threads", "2"]).unwrap_err();
+        assert!(err.0.contains("unknown flag"), "{err:?}");
         // Invalid values: zero, garbage, missing.
         for sub in [["replay", "t.vex"], ["serve", "traces"]] {
             let base = sub.to_vec();
@@ -2289,7 +2291,7 @@ mod tests {
         run(&Command::Profile(ProfileArgs::new("QMCPACK".into())), &mut live).unwrap();
 
         let mut rep = ReplayArgs::new(trace);
-        rep.fine = true;
+        rep.analysis.fine = true;
         let mut replayed = Vec::new();
         run(&Command::Replay(rep), &mut replayed).unwrap();
         assert_eq!(
@@ -2297,6 +2299,46 @@ mod tests {
             String::from_utf8(replayed).unwrap(),
             "replayed report must be byte-identical to the live one"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `vex replay` and `vex diff` stream their traces, which pins the
+    /// error order: a pass the trace lacks is reported from the header
+    /// before any frame is read, and a trace cut mid-stream fails as a
+    /// whole with nothing on stdout — never a partial report.
+    #[test]
+    fn streamed_replay_error_order() {
+        let dir = std::env::temp_dir().join(format!("vex-cli-order-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let full = dir.join("full.vex").to_str().unwrap().to_owned();
+        let cut = dir.join("cut.vex").to_str().unwrap().to_owned();
+        let mut rec = RecordArgs::new("QMCPACK".into());
+        rec.output = full.clone();
+        run(&Command::Record(rec), &mut Vec::new()).unwrap();
+        let bytes = std::fs::read(&full).unwrap();
+        std::fs::write(&cut, &bytes[..bytes.len() / 2]).unwrap();
+
+        // The coarse-only trace lacks fine records: the header says so
+        // before the cut frames are ever reached.
+        let mut rep = ReplayArgs::new(cut.clone());
+        rep.analysis.fine = true;
+        let mut out = Vec::new();
+        let err = run(&Command::Replay(rep), &mut out).unwrap_err();
+        assert!(err.0.contains("--fine") && !err.0.contains("cannot read"), "{}", err.0);
+        assert!(out.is_empty());
+
+        // The recorded pass streams up to the cut, then fails whole.
+        let mut out = Vec::new();
+        let err = run(&Command::Replay(ReplayArgs::new(cut.clone())), &mut out).unwrap_err();
+        assert!(err.0.starts_with(&format!("cannot read trace '{cut}': ")), "{}", err.0);
+        assert!(err.0.contains("mid-frame"), "{}", err.0);
+        assert!(out.is_empty(), "partial report written: {}", String::from_utf8_lossy(&out));
+
+        let mut out = Vec::new();
+        let err = run(&Command::Diff(DiffArgs::new(full.clone(), cut.clone())), &mut out)
+            .unwrap_err();
+        assert!(err.0.starts_with(&format!("cannot read trace '{cut}': ")), "{}", err.0);
+        assert!(out.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

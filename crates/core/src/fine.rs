@@ -1,7 +1,8 @@
 //! The fine-grained analyzer (§5.1).
 //!
-//! Consumes the per-access record batches produced by the
-//! [`vex_trace::Collector`], attributes each record to a data object,
+//! Consumes the per-access record batches ([`vex_trace::event::Event::Batch`])
+//! flushed by the [`vex_trace::event::EventSource`] or streamed from a
+//! recorded trace, attributes each record to a data object,
 //! decodes its raw bits using the access types recovered by
 //! [`crate::access_type`], and accumulates [`crate::patterns::ValueStats`]
 //! per `(object, direction)`. At kernel end the recognizers of

@@ -44,6 +44,9 @@ use crate::report::Profile;
 use crate::reuse::{ReuseAnalyzer, ReuseHistogram};
 use crate::sampling::{BlockSampler, HierarchicalSampler, KernelNameFilter};
 use parking_lot::Mutex;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::io::Read;
 use std::sync::Arc;
 use vex_gpu::callpath::CallPathId;
 use vex_gpu::hooks::ApiKind;
@@ -51,7 +54,9 @@ use vex_gpu::ir::MemSpace;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
 use vex_trace::codec::DecodeError;
-use vex_trace::container::{DecodeOptions, RecordedTrace, TraceFlags, TraceWriter};
+use vex_trace::container::{
+    DecodeOptions, RecordedTrace, TraceFlags, TraceReader, TraceWriter,
+};
 use vex_trace::event::{
     AnalysisPass, ColumnSet, Event, EventSink, EventSource, EventSourceConfig,
 };
@@ -60,6 +65,10 @@ use vex_trace::{CollectorStats, LaunchFilter};
 /// A spawned analysis engine: the sink fed to the [`EventSource`] plus
 /// whichever concrete engine backs it (exactly one is `Some`).
 type Engine = (Arc<dyn EventSink>, Option<Arc<SyncEngine>>, Option<Arc<Pipeline>>);
+
+/// What a replay needs once its events are dispatched: the recording's
+/// call-path contexts, collector counters, and application time (µs).
+type ReplayTail<'t> = (Cow<'t, BTreeMap<CallPathId, String>>, CollectorStats, f64);
 
 /// Configuration for a profiling session; see [`ValueExpert::builder`].
 #[derive(Debug, Clone)]
@@ -227,10 +236,10 @@ impl ProfilerBuilder {
     }
 
     /// Worker threads for decoding a recorded trace's columnar batch
-    /// frames before replay (`vex replay --decode-threads`). Values ≤ 1
-    /// decode on the calling thread. Only consulted through
-    /// [`ProfilerBuilder::decode_options`]; [`ProfilerBuilder::replay`]
-    /// takes an already-decoded trace.
+    /// frames before replay. Values ≤ 1 decode on the calling thread.
+    /// Only consulted through [`ProfilerBuilder::decode_options`]:
+    /// [`ProfilerBuilder::replay`] takes an already-decoded trace, and
+    /// [`ProfilerBuilder::replay_reader`] decodes each frame inline.
     #[must_use]
     pub fn decode_threads(mut self, threads: usize) -> Self {
         self.decode_threads = threads.max(1);
@@ -371,17 +380,59 @@ impl ProfilerBuilder {
     ///
     /// [`ReplayError`] when the requested passes were not recorded.
     pub fn replay(self, trace: &RecordedTrace) -> Result<Profile, ReplayError> {
-        if self.coarse && !trace.flags.coarse {
+        self.replay_events(trace.flags, &trace.spec, |sink| {
+            trace.dispatch(sink);
+            Ok((Cow::Borrowed(&trace.contexts), trace.stats, trace.app_us))
+        })
+    }
+
+    /// Replays a trace straight from its container stream, with no
+    /// materialized [`RecordedTrace`]: the header's flags are checked
+    /// against the requested passes before any frame is read, each batch
+    /// is decoded under this builder's column projection
+    /// ([`TraceReader::set_columns`]), handed to the analysis engine and
+    /// dropped, and the profile is assembled from the tail frames. Peak
+    /// memory is one batch plus analysis state. The report is
+    /// byte-identical to [`ProfilerBuilder::replay`]'s.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayError::CoarseNotRecorded`] / [`ReplayError::FineNotRecorded`]
+    /// from the header; otherwise [`ReplayError::Decode`] with the first
+    /// bad frame's error — the one [`vex_trace::container::read_trace_with`]
+    /// returns under [`ProfilerBuilder::decode_options`]. No partial
+    /// profile is produced.
+    pub fn replay_reader<R: Read>(
+        self,
+        mut reader: TraceReader<R>,
+    ) -> Result<Profile, ReplayError> {
+        let (flags, spec) = (reader.flags(), reader.spec().clone());
+        reader.set_columns(self.required_columns());
+        self.replay_events(flags, &spec, |sink| {
+            let tail = reader.dispatch(sink)?;
+            Ok((Cow::Owned(tail.contexts), tail.stats, tail.app_us))
+        })
+    }
+
+    /// The analysis path both replay sources share: validates `flags`
+    /// against the requested passes, spawns the engine, lets `feed` pump
+    /// the event stream into it and return the trace's tail — call-path
+    /// contexts (lent, when the source already holds them), collector
+    /// counters and application time — then assembles the profile for
+    /// the recording's device preset `spec`.
+    fn replay_events<'t>(
+        self,
+        flags: TraceFlags,
+        spec: &DeviceSpec,
+        feed: impl FnOnce(&dyn EventSink) -> Result<ReplayTail<'t>, DecodeError>,
+    ) -> Result<Profile, ReplayError> {
+        if self.coarse && !flags.coarse {
             return Err(ReplayError::CoarseNotRecorded);
         }
-        if self.fine && !trace.flags.fine {
+        if self.fine && !flags.fine {
             return Err(ReplayError::FineNotRecorded);
         }
-        // A live coarse-only session reports zero collector traffic; only
-        // fine replays surface the recorded counters.
-        let stats = if self.fine { trace.stats } else { CollectorStats::default() };
         let (sink, sync, pipeline) = self.spawn_engine();
-        trace.dispatch(&*sink);
         let vex = ValueExpert {
             overhead: self.overhead,
             pattern: self.pattern,
@@ -389,10 +440,14 @@ impl ProfilerBuilder {
             pipeline,
             source: None,
         };
+        // On error `vex` drops here, which stops any pipeline workers.
+        let (contexts, stats, app_us) = feed(&*sink).map_err(ReplayError::Decode)?;
+        // A live coarse-only session reports zero collector traffic; only
+        // fine replays surface the recorded counters.
+        let stats = if self.fine { stats } else { CollectorStats::default() };
         let products = vex.products();
-        Ok(vex.assemble(products, stats, &trace.spec, trace.app_us, |id| {
-            trace
-                .contexts
+        Ok(vex.assemble(products, stats, spec, app_us, |id| {
+            contexts
                 .get(&id)
                 .cloned()
                 .unwrap_or_else(|| format!("<unrecorded context {}>", id.0))
@@ -400,8 +455,9 @@ impl ProfilerBuilder {
     }
 }
 
-/// Replaying a trace failed before any analysis ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Replaying a trace failed: the requested passes were not recorded
+/// (detected before any analysis ran), or the trace failed to decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayError {
     /// Coarse analysis was requested but the trace carries no capture
     /// snapshots.
@@ -409,6 +465,9 @@ pub enum ReplayError {
     /// A fine-grained analysis was requested but the trace carries no
     /// access records.
     FineNotRecorded,
+    /// A streamed trace ([`ProfilerBuilder::replay_reader`]) failed to
+    /// decode mid-stream.
+    Decode(DecodeError),
 }
 
 impl std::fmt::Display for ReplayError {
@@ -424,6 +483,7 @@ impl std::fmt::Display for ReplayError {
                 "this trace has no access records; re-record with `vex record --fine` to run \
                  fine-grained analyses"
             ),
+            ReplayError::Decode(e) => e.fmt(f),
         }
     }
 }

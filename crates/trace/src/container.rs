@@ -874,6 +874,9 @@ pub struct TraceReader<R: Read> {
     /// accumulates the counts instead.
     skip_records: bool,
     records_scanned: u64,
+    /// Columns inline columnar batch decode materializes; see
+    /// [`TraceReader::set_columns`].
+    columns: ColumnSet,
     /// When set, columnar batch frames are not decoded inline: their
     /// payloads queue in `deferred` (in stream order) and the `Batch`
     /// event arrives with an empty record vector for the caller to
@@ -941,6 +944,7 @@ impl<R: Read> TraceReader<R> {
             finished: false,
             skip_records: false,
             records_scanned: 0,
+            columns: ColumnSet::ALL,
             defer_columnar: false,
             deferred: Vec::new(),
         })
@@ -979,7 +983,20 @@ impl<R: Read> TraceReader<R> {
         self.skip_records = skip;
     }
 
-    /// Records counted by batch frames scanned in skip mode so far.
+    /// Projects inline columnar batch decode onto `columns`, exactly as
+    /// [`read_trace_with`] projects its worker-pool decode: undemanded
+    /// fields of the `Batch` records come back zero-filled. Under
+    /// [`ColumnSet::NONE`] columnar batches take the skip-records walk
+    /// instead — the structural checks, and errors, of
+    /// `decode_columnar_batch_projected(_, NONE)` — and their `Batch`
+    /// events carry empty record vectors, so no record is allocated.
+    /// v1 fixed-record batches always decode in full.
+    pub fn set_columns(&mut self, columns: ColumnSet) {
+        self.columns = columns;
+    }
+
+    /// Records counted by batch frames scanned in skip mode (or under a
+    /// [`ColumnSet::NONE`] projection) so far.
     pub fn records_scanned(&self) -> u64 {
         self.records_scanned
     }
@@ -1167,7 +1184,7 @@ impl<R: Read> TraceReader<R> {
                     .get(&launch)
                     .cloned()
                     .ok_or(bad("batch references an undeclared launch"))?;
-                if self.skip_records {
+                if self.skip_records || self.columns.is_empty() {
                     let count = codec::scan_columnar_batch(&payload[pos..]).map_err(bad)?;
                     self.records_scanned += count;
                     return Ok(Some(TraceFrame::Event(Event::Batch {
@@ -1188,7 +1205,10 @@ impl<R: Read> TraceReader<R> {
                         records: Arc::new(Vec::new()),
                     })));
                 }
-                let records = codec::decode_columnar_batch(&payload[pos..]).map_err(bad)?;
+                let records =
+                    codec::decode_columnar_batch_projected(&payload[pos..], self.columns)
+                        .map(codec::DecodedBatch::into_records)
+                        .map_err(bad)?;
                 TraceFrame::Event(Event::Batch { info, records: Arc::new(records) })
             }
             FRAME_LAUNCH_END => {
@@ -1229,6 +1249,43 @@ impl<R: Read> TraceReader<R> {
         };
         Ok(Some(frame))
     }
+
+    /// Streams every remaining frame on the calling thread: each event
+    /// goes to `sink` as soon as it is decoded and is dropped after, so
+    /// memory stays O(one batch) however long the trace; the tail frames
+    /// are returned. Events and errors arrive in stream order.
+    ///
+    /// # Errors
+    ///
+    /// The first [`DecodeError`] of the stream — the error
+    /// [`read_trace_with`] reports under the same projection. Events
+    /// before the bad frame have already reached `sink`.
+    pub fn dispatch(mut self, sink: &dyn EventSink) -> Result<TraceTail, DecodeError> {
+        let mut tail = TraceTail::default();
+        while let Some(frame) = self.next_frame()? {
+            match frame {
+                TraceFrame::Event(event) => sink.on_event(&event),
+                TraceFrame::Contexts(map) => tail.contexts = map,
+                TraceFrame::Finish { stats, app_us } => {
+                    tail.stats = stats;
+                    tail.app_us = app_us;
+                }
+            }
+        }
+        Ok(tail)
+    }
+}
+
+/// The tail frames of a trace: what a consumer of its streamed events
+/// still needs once the last event is dispatched.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TraceTail {
+    /// Rendered call paths (id → string) of the recording session.
+    pub contexts: BTreeMap<CallPathId, String>,
+    /// Fine-pass traffic counters of the recording session.
+    pub stats: CollectorStats,
+    /// Application time of the recorded run, µs.
+    pub app_us: f64,
 }
 
 /// Decodes the body of a fixed-record (v1) batch frame — everything

@@ -8,15 +8,11 @@
 //!
 //! * [`AccessRecord`] — the compact on-device record format,
 //! * [`DeviceBuffer`] — a bounded buffer that signals when full,
-//! * [`Collector`] — a [`vex_gpu::hooks::MemAccessHook`] that fills the
-//!   buffer and delivers batches to a [`TraceSink`] (the analyzer),
-//!   tracking flush traffic so the profiler can charge realistic
-//!   overhead, and
+//! * [`CollectorStats`] — the flush traffic the profiler charges as
+//!   measurement overhead, and
 //! * [`LaunchFilter`] — pluggable per-launch instrumentation decisions
 //!   (kernel filtering and sampling plug in here; implementations live in
-//!   `vex-core::sampling`), and
-//! * [`transport`] — a channel-backed [`TraceSink`] that publishes record
-//!   batches into bounded queues so analysis runs off the critical path.
+//!   `vex-core::sampling`).
 //!
 //! On top of that machinery sits the **canonical event model** every
 //! consumer shares:
@@ -24,10 +20,11 @@
 //! * [`event`] — the [`event::Event`] enum (API events + capture
 //!   snapshots, launch boundaries, record batches), the
 //!   [`event::EventSink`] interface all analyses implement, and the
-//!   unified [`event::EventSource`] that attaches once to a runtime and
-//!   feeds them all,
+//!   unified [`event::EventSource`] — the data collector — that attaches
+//!   once to a runtime, fills the device buffer, and feeds them all,
 //! * [`container`] — the versioned, length-framed `.vex` trace container:
 //!   record an event stream to disk, replay it later through any sink,
+//!   one batch at a time,
 //! * [`salvage`] — crash recovery for torn containers: recover the
 //!   longest valid frame prefix of a truncated trace with a loss
 //!   report, and re-encode it into a fresh valid container,
@@ -47,12 +44,8 @@ pub mod index;
 pub mod interval;
 pub mod salvage;
 pub mod summary;
-pub mod transport;
 
-use parking_lot::Mutex;
-use std::sync::Arc;
-use vex_gpu::exec::LaunchStats;
-use vex_gpu::hooks::{AccessEvent, DeviceView, LaunchInfo, MemAccessHook};
+use vex_gpu::hooks::{AccessEvent, LaunchInfo};
 use vex_gpu::ir::{MemSpace, Pc};
 
 /// Compact per-access record, the simulated on-GPU buffer entry.
@@ -158,29 +151,6 @@ impl DeviceBuffer {
     }
 }
 
-/// Receives record batches from the collector.
-///
-/// `on_batch` is called whenever the device buffer fills mid-kernel and
-/// once at kernel end with the remainder; `on_launch_complete` is called
-/// after the final batch with post-kernel device state.
-pub trait TraceSink: Send + Sync {
-    /// A batch of records was flushed from the device buffer.
-    fn on_batch(&self, info: &LaunchInfo, records: &[AccessRecord]);
-
-    /// The launch finished (after the final `on_batch`).
-    fn on_launch_complete(
-        &self,
-        _info: &LaunchInfo,
-        _stats: &LaunchStats,
-        _view: &dyn DeviceView,
-    ) {
-    }
-
-    /// A launch ran *uninstrumented* (declined by the filter). Sinks that
-    /// account coverage can note it; most ignore it.
-    fn on_skipped_launch(&self, _info: &LaunchInfo, _stats: &LaunchStats) {}
-}
-
 /// Decides whether a launch is instrumented. See `vex-core::sampling` for
 /// the kernel-filter and hierarchical-sampling implementations.
 pub trait LaunchFilter: Send + Sync {
@@ -217,141 +187,12 @@ pub struct CollectorStats {
     pub skipped_launches: u64,
 }
 
-struct CollectorState {
-    buffer: DeviceBuffer,
-    current: Option<LaunchInfo>,
-    stats: CollectorStats,
-}
-
-/// The fine-grained collector: buffers per-access records in a bounded
-/// device buffer and flushes batches to a [`TraceSink`].
-pub struct Collector {
-    state: Mutex<CollectorState>,
-    sink: Arc<dyn TraceSink>,
-    filter: Arc<dyn LaunchFilter>,
-    /// Record only blocks `0, P, 2P, …` (§6.2 block sampling happens at
-    /// collection: skipped blocks never enter the device buffer).
-    block_period: u32,
-}
-
-impl std::fmt::Debug for Collector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock();
-        f.debug_struct("Collector")
-            .field("buffered", &st.buffer.len())
-            .field("stats", &st.stats)
-            .finish()
-    }
-}
-
-impl Collector {
-    /// Creates a collector with the given buffer capacity (records), sink,
-    /// and launch filter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buffer_capacity` is zero.
-    pub fn new(
-        buffer_capacity: usize,
-        sink: Arc<dyn TraceSink>,
-        filter: Arc<dyn LaunchFilter>,
-    ) -> Self {
-        Collector {
-            state: Mutex::new(CollectorState {
-                buffer: DeviceBuffer::new(buffer_capacity),
-                current: None,
-                stats: CollectorStats::default(),
-            }),
-            sink,
-            filter,
-            block_period: 1,
-        }
-    }
-
-    /// Enables block sampling: only record accesses from every
-    /// `period`-th thread block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    #[must_use]
-    pub fn with_block_period(mut self, period: u32) -> Self {
-        assert!(period > 0, "block sampling period must be nonzero");
-        self.block_period = period;
-        self
-    }
-
-    /// Traffic counters accumulated so far.
-    pub fn stats(&self) -> CollectorStats {
-        self.state.lock().stats
-    }
-
-    fn flush(state: &mut CollectorState, sink: &dyn TraceSink) {
-        if state.buffer.is_empty() {
-            return;
-        }
-        let records = state.buffer.drain();
-        state.stats.flushes += 1;
-        state.stats.bytes_flushed += records.len() as u64 * AccessRecord::DEVICE_BYTES;
-        let info = state.current.as_ref().expect("flush outside of a launch").clone();
-        sink.on_batch(&info, &records);
-    }
-}
-
-impl MemAccessHook for Collector {
-    fn on_launch_begin(&self, info: &LaunchInfo) -> bool {
-        if !self.filter.accept(info) {
-            return false;
-        }
-        let mut st = self.state.lock();
-        assert!(
-            st.current.is_none(),
-            "interleaved launches: collector requires serialized streams"
-        );
-        st.current = Some(info.clone());
-        st.stats.instrumented_launches += 1;
-        true
-    }
-
-    fn on_access(&self, event: &AccessEvent) {
-        let mut st = self.state.lock();
-        debug_assert!(st.current.is_some(), "access outside instrumented launch");
-        st.stats.events_checked += 1;
-        if !event.block.is_multiple_of(self.block_period) {
-            return; // block sampling: never buffered, never flushed
-        }
-        st.stats.events += 1;
-        let full = st.buffer.push(AccessRecord::from(event));
-        if full {
-            Self::flush(&mut st, &*self.sink);
-        }
-    }
-
-    fn on_launch_end(
-        &self,
-        info: &LaunchInfo,
-        stats: &LaunchStats,
-        instrumented: bool,
-        view: &dyn DeviceView,
-    ) {
-        if !instrumented {
-            let mut st = self.state.lock();
-            st.stats.skipped_launches += 1;
-            drop(st);
-            self.sink.on_skipped_launch(info, stats);
-            return;
-        }
-        let mut st = self.state.lock();
-        Self::flush(&mut st, &*self.sink);
-        st.current = None;
-        drop(st);
-        self.sink.on_launch_complete(info, stats, view);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Event, EventSink, EventSource, EventSourceConfig};
+    use parking_lot::Mutex;
+    use std::sync::Arc;
     use vex_gpu::dim::Dim3;
     use vex_gpu::hooks::LaunchId;
     use vex_gpu::ir::{InstrTable, InstrTableBuilder, ScalarType};
@@ -359,6 +200,7 @@ mod tests {
     use vex_gpu::prelude::*;
     use vex_gpu::timing::DeviceSpec;
 
+    /// Tallies the fine-pass events the collector delivers.
     struct CountingSink {
         batches: Mutex<Vec<usize>>,
         completed: Mutex<u64>,
@@ -375,20 +217,14 @@ mod tests {
         }
     }
 
-    impl TraceSink for CountingSink {
-        fn on_batch(&self, _info: &LaunchInfo, records: &[AccessRecord]) {
-            self.batches.lock().push(records.len());
-        }
-        fn on_launch_complete(
-            &self,
-            _info: &LaunchInfo,
-            _stats: &LaunchStats,
-            _view: &dyn DeviceView,
-        ) {
-            *self.completed.lock() += 1;
-        }
-        fn on_skipped_launch(&self, _info: &LaunchInfo, _stats: &LaunchStats) {
-            *self.skipped.lock() += 1;
+    impl EventSink for CountingSink {
+        fn on_event(&self, event: &Event) {
+            match event {
+                Event::Batch { records, .. } => self.batches.lock().push(records.len()),
+                Event::LaunchEnd { .. } => *self.completed.lock() += 1,
+                Event::SkippedLaunch { .. } => *self.skipped.lock() += 1,
+                Event::Api { .. } | Event::LaunchBegin { .. } => {}
+            }
         }
     }
 
@@ -411,26 +247,34 @@ mod tests {
         }
     }
 
+    /// Runs one `n`-thread store kernel under a fine-only collector with
+    /// a `capacity`-record device buffer.
     fn run_with_collector(
         n: usize,
         capacity: usize,
         filter: Arc<dyn LaunchFilter>,
-    ) -> (Arc<CountingSink>, Arc<Collector>) {
+    ) -> (Arc<CountingSink>, Arc<EventSource>) {
         let mut rt = Runtime::new(DeviceSpec::test_small());
         let sink = Arc::new(CountingSink::new());
-        let collector = Arc::new(Collector::new(capacity, sink.clone(), filter));
-        rt.register_access_hook(collector.clone());
+        let config = EventSourceConfig {
+            api: false,
+            coarse: false,
+            fine: true,
+            buffer_records: capacity,
+            ..EventSourceConfig::default()
+        };
+        let source = EventSource::attach(&mut rt, config, filter, sink.clone());
         let base = rt.malloc((n * 4) as u64, "buf").unwrap().addr();
         rt.launch(&WriteN { base, n }, Dim3::linear(1), Dim3::linear(n.max(1) as u32)).unwrap();
-        (sink, collector)
+        (sink, source)
     }
 
     #[test]
     fn batches_respect_capacity() {
-        let (sink, collector) = run_with_collector(10, 4, Arc::new(AcceptAll));
+        let (sink, source) = run_with_collector(10, 4, Arc::new(AcceptAll));
         let batches = sink.batches.lock().clone();
         assert_eq!(batches, vec![4, 4, 2]);
-        let stats = collector.stats();
+        let stats = source.stats();
         assert_eq!(stats.events, 10);
         assert_eq!(stats.flushes, 3);
         assert_eq!(stats.bytes_flushed, 10 * AccessRecord::DEVICE_BYTES);
@@ -439,7 +283,7 @@ mod tests {
 
     #[test]
     fn exact_multiple_has_no_empty_final_batch() {
-        let (sink, _c) = run_with_collector(8, 4, Arc::new(AcceptAll));
+        let (sink, _source) = run_with_collector(8, 4, Arc::new(AcceptAll));
         assert_eq!(sink.batches.lock().clone(), vec![4, 4]);
     }
 
@@ -451,10 +295,10 @@ mod tests {
                 false
             }
         }
-        let (sink, collector) = run_with_collector(10, 4, Arc::new(RejectAll));
+        let (sink, source) = run_with_collector(10, 4, Arc::new(RejectAll));
         assert!(sink.batches.lock().is_empty());
         assert_eq!(*sink.skipped.lock(), 1);
-        let stats = collector.stats();
+        let stats = source.stats();
         assert_eq!(stats.events, 0);
         assert_eq!(stats.skipped_launches, 1);
         assert_eq!(stats.instrumented_launches, 0);

@@ -11,10 +11,18 @@
 //!   zero-fills the rest;
 //! * corrupt or truncated batches mid-stream surface the *same*
 //!   [`DecodeError`] the sequential reader reports, at every thread
-//!   count, with no hang and no partially-decoded trace leaking out.
+//!   count, with no hang and no partially-decoded trace leaking out;
+//! * the streaming path — [`TraceReader::set_columns`] +
+//!   [`TraceReader::dispatch`], and [`ProfilerBuilder::replay_reader`]
+//!   on top — yields the same events and fails with the same error as
+//!   [`read_trace_with`] under the same projection, and never panics on
+//!   corrupt input.
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::sync::Mutex;
+use vex_core::prelude::*;
+use vex_core::profiler::ProfilerBuilder;
 use vex_gpu::callpath::CallPathId;
 use vex_gpu::dim::Dim3;
 use vex_gpu::hooks::{LaunchId, LaunchInfo};
@@ -23,7 +31,8 @@ use vex_gpu::stream::StreamId;
 use vex_gpu::timing::DeviceSpec;
 use vex_trace::codec::{self, ColumnSet, DecodedBatch};
 use vex_trace::container::{
-    read_trace, read_trace_with, DecodeOptions, RecordedTrace, TraceFlags, TraceWriter,
+    read_trace, read_trace_with, DecodeOptions, RecordedTrace, TraceFlags, TraceReader,
+    TraceTail, TraceWriter,
 };
 use vex_trace::event::{Event, EventSink};
 use vex_trace::{AccessRecord, CollectorStats};
@@ -69,13 +78,14 @@ fn varied_record(i: u64) -> AccessRecord {
     }
 }
 
-/// Writes a fine-pass trace whose `batches[k]` becomes launch `k`'s one
-/// record batch.
+/// Writes a trace whose `batches[k]` becomes launch `k`'s one record
+/// batch. Both passes are flagged, so coarse-only replays (the
+/// `ColumnSet::NONE` walk) accept it too.
 fn write_trace(batches: &[Vec<AccessRecord>]) -> Vec<u8> {
     let writer = TraceWriter::new(
         Vec::new(),
         &DeviceSpec::test_small(),
-        TraceFlags { coarse: false, fine: true },
+        TraceFlags { coarse: true, fine: true },
     )
     .expect("header writes");
     for (k, records) in batches.iter().enumerate() {
@@ -145,9 +155,47 @@ fn replace_frame(bytes: &[u8], frame_start: usize, old_len: usize, payload: &[u8
     out
 }
 
+/// Collects a streamed event sequence.
+struct Collect(Mutex<Vec<Event>>);
+
+impl EventSink for Collect {
+    fn on_event(&self, event: &Event) {
+        self.0.lock().expect("collector lock").push(event.clone());
+    }
+}
+
+/// Streams `bytes` frame by frame under `columns`: the events
+/// dispatched and the tail, or the error.
+fn stream(
+    bytes: &[u8],
+    columns: ColumnSet,
+) -> (Vec<Event>, Result<TraceTail, codec::DecodeError>) {
+    let sink = Collect(Mutex::new(Vec::new()));
+    let result = TraceReader::new(bytes).and_then(|mut reader| {
+        reader.set_columns(columns);
+        reader.dispatch(&sink)
+    });
+    (sink.0.into_inner().expect("collector lock"), result)
+}
+
+/// The ValueExpert configurations a streamed replay can take, each with
+/// a different projection: coarse-only (`NONE`), fine, and the fine pass
+/// widened by reuse distance or race detection.
+fn replay_builders() -> Vec<ProfilerBuilder> {
+    let fine = || ValueExpert::builder().coarse(true).fine(true);
+    vec![
+        ValueExpert::builder().coarse(true).fine(false),
+        fine(),
+        fine().reuse_distance(32),
+        fine().race_detection(true),
+    ]
+}
+
 /// Asserts that decoding `bytes` fails identically — same
 /// [`vex_trace::codec::DecodeError`] value — sequentially and at every
-/// worker-pool thread count, under full and empty projections.
+/// worker-pool thread count, under full and empty projections; and that
+/// the streaming path fails with `read_trace_with`'s error under every
+/// projection, alone and inside a streamed replay.
 fn assert_identical_decode_error(bytes: &[u8], expect_contains: &str) {
     let seq = read_trace(bytes).expect_err("sequential decode fails");
     assert!(seq.to_string().contains(expect_contains), "unexpected sequential error: {seq}");
@@ -157,6 +205,24 @@ fn assert_identical_decode_error(bytes: &[u8], expect_contains: &str) {
                 .expect_err("worker-pool decode fails");
             assert_eq!(seq, got, "error diverged at {threads} threads, columns {columns:?}");
         }
+    }
+    for columns in projections() {
+        let want = read_trace_with(bytes, &DecodeOptions { threads: 1, columns })
+            .expect_err("projected decode fails");
+        let got = stream(bytes, columns).1.expect_err("stream fails");
+        assert_eq!(want, got, "stream error diverged: {columns:?}");
+    }
+    for builder in replay_builders() {
+        let want = read_trace_with(bytes, &builder.decode_options())
+            .expect_err("projected decode fails");
+        let columns = builder.required_columns();
+        let reader = TraceReader::new(bytes).expect("header is intact");
+        let got = builder.replay_reader(reader).expect_err("streamed replay fails");
+        assert_eq!(
+            ReplayError::Decode(want),
+            got,
+            "streamed replay error diverged: {columns:?}"
+        );
     }
 }
 
@@ -236,6 +302,34 @@ fn every_projection_reconstructs_demanded_columns() {
                     assert_projected_record(fr, gr, cols);
                 }
             }
+        }
+    }
+}
+
+/// Streaming under every projection yields `read_trace_with`'s events
+/// and tail — except that the `NONE` walk hands out empty record vectors
+/// instead of zero-filled ones.
+#[test]
+fn streaming_matches_projected_decode() {
+    let batches: Vec<Vec<AccessRecord>> = vec![
+        (0..200).map(varied_record).collect(),
+        vec![],
+        (200..450).map(varied_record).collect(),
+    ];
+    let bytes = write_trace(&batches);
+    for cols in projections() {
+        let want = read_trace_with(&bytes, &DecodeOptions { threads: 1, columns: cols })
+            .expect("projected decode");
+        let (events, tail) = stream(&bytes, cols);
+        let tail = tail.expect("stream decodes");
+        let got = RecordedTrace { events, ..want.clone() };
+        assert_eq!(event_kinds(&want), event_kinds(&got));
+        assert_eq!((tail.stats, tail.app_us), (want.stats, want.app_us));
+        assert_eq!(tail.contexts, want.contexts);
+        if cols == ColumnSet::NONE {
+            assert!(batch_records(&got).iter().all(Vec::is_empty), "NONE allocates records");
+        } else {
+            assert_eq!(batch_records(&want), batch_records(&got), "{cols:?}");
         }
     }
 }
@@ -452,5 +546,40 @@ proptest! {
                     seq.as_ref().map(|_| ()), got.as_ref().map(|_| ())),
             }
         }
+    }
+}
+
+// Corruption anywhere in a trace never panics a streamed replay, and the
+// outcome matches decoding first and replaying the materialized trace.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn prop_corruption_never_panics_streamed_replay(
+        batches in prop::collection::vec(prop::collection::vec(arb_record(), 1..30), 1..4),
+        index in 0usize..1 << 16,
+        value in any::<u8>(),
+        cut in 0usize..1 << 17,
+        coarse_only in any::<bool>(),
+    ) {
+        let mut bytes = write_trace(&batches);
+        let index = index % bytes.len();
+        bytes[index] = value;
+        if cut < 1 << 16 {
+            bytes.truncate(cut % (bytes.len() + 1));
+        }
+        // A corrupt header fails before any replay starts.
+        let Ok(flags) = TraceReader::new(bytes.as_slice()).map(|r| r.flags()) else {
+            return;
+        };
+        let builder = ValueExpert::builder()
+            .coarse(flags.coarse)
+            .fine(flags.fine && !(coarse_only && flags.coarse));
+        let want = read_trace_with(&bytes, &builder.decode_options())
+            .map_err(ReplayError::Decode)
+            .and_then(|trace| builder.clone().replay(&trace))
+            .map(|p| p.render_text());
+        let reader = TraceReader::new(bytes.as_slice()).expect("header decoded above");
+        let got = builder.replay_reader(reader).map(|p| p.render_text());
+        prop_assert_eq!(want, got);
     }
 }

@@ -14,6 +14,7 @@ use vex_gpu::prelude::DevicePtr;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
 use vex_gvprof::GvProfSession;
+use vex_trace::event::{Event, EventSink, EventSource, EventSourceConfig};
 
 const N: usize = 1024;
 
@@ -142,20 +143,25 @@ fn collector_flush_counts_differ() {
     }
     let gv_stats = gv.collector_stats();
 
+    // ValueExpert's collector at its default 64k-record buffer.
     let mut rt = Runtime::new(spec);
-    let sink = Arc::new(NullSink);
-    let collector =
-        Arc::new(vex_trace::Collector::new(1 << 16, sink, Arc::new(vex_trace::AcceptAll)));
-    rt.register_access_hook(collector.clone());
+    let config =
+        EventSourceConfig { api: false, coarse: false, fine: true, ..Default::default() };
+    let source = EventSource::attach(
+        &mut rt,
+        config,
+        Arc::new(vex_trace::AcceptAll),
+        Arc::new(NullSink),
+    );
     let dst = rt.malloc((N * 4) as u64, "buf").unwrap();
     for _ in 0..8 {
         rt.launch(&Fill { dst, value: 1.0 }, Dim3::linear(4), Dim3::linear(256)).unwrap();
     }
-    assert_eq!(collector.stats().events, gv_stats.events);
-    assert!(gv_stats.flushes >= collector.stats().flushes);
+    assert_eq!(source.stats().events, gv_stats.events);
+    assert!(gv_stats.flushes >= source.stats().flushes);
 
     struct NullSink;
-    impl vex_trace::TraceSink for NullSink {
-        fn on_batch(&self, _: &vex_gpu::hooks::LaunchInfo, _: &[vex_trace::AccessRecord]) {}
+    impl EventSink for NullSink {
+        fn on_event(&self, _: &Event) {}
     }
 }

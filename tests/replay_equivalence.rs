@@ -5,7 +5,8 @@
 //! the identical [`vex_trace::event::Event`] values a live session
 //! produces, every rendered report form — text, JSON, flow-graph DOT —
 //! must match the live profiler byte for byte, under the synchronous
-//! engine and under the sharded pipeline at every shard count. The same
+//! engine and under the sharded pipeline at every shard count, whether
+//! the trace is decoded up front or streamed batch by batch. The same
 //! trace also replays through the GVProf baseline, matching a live
 //! GVProf session's results and traffic counters.
 
@@ -15,7 +16,7 @@ use vex_core::profiler::ProfilerBuilder;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
 use vex_gvprof::GvProfSession;
-use vex_trace::container::{read_trace, read_trace_with};
+use vex_trace::container::{read_trace, read_trace_with, RecordedTrace, TraceReader};
 use vex_workloads::{all_apps, GpuApp, Variant};
 
 /// Every byte-comparable rendering of a profile.
@@ -27,13 +28,47 @@ fn rendered(profile: &Profile) -> (String, String, String) {
     )
 }
 
+/// Pipeline shard counts of the streamed replays (0 = synchronous
+/// engine). The coarse-only stream in
+/// `every_workload_replays_byte_identically` takes 1 shard.
+const STREAM_SHARDS: [usize; 2] = [0, 8];
+
+/// Checks that streaming `bytes` through
+/// [`ProfilerBuilder::replay_reader`] — no materialized trace, one
+/// projected batch at a time — renders `expected` at each shard count.
+fn assert_streams_to(
+    app: &dyn GpuApp,
+    bytes: &[u8],
+    make_builder: &dyn Fn() -> ProfilerBuilder,
+    shard_counts: &[usize],
+    expected: &(String, String, String),
+) {
+    for &shards in shard_counts {
+        let reader = TraceReader::new(bytes).unwrap_or_else(|e| panic!("{}: {e}", app.name()));
+        let streamed = make_builder()
+            .analysis_shards(shards)
+            .replay_reader(reader)
+            .unwrap_or_else(|e| panic!("{}: streamed replay failed: {e}", app.name()));
+        assert_eq!(
+            expected,
+            &rendered(&streamed),
+            "{}: streamed replay diverged ({shards} shards)",
+            app.name()
+        );
+    }
+}
+
 /// Records `app` once and checks that replaying the trace reproduces the
 /// live profiler byte-for-byte under the synchronous engine and 1/2/8
-/// pipeline shards.
-fn assert_replay_equivalent(app: &dyn GpuApp, make_builder: &dyn Fn() -> ProfilerBuilder) {
+/// pipeline shards, materialized and streamed. Returns the recording and
+/// its decoded trace.
+fn assert_replay_equivalent(
+    app: &dyn GpuApp,
+    make_builder: &dyn Fn() -> ProfilerBuilder,
+) -> (Vec<u8>, RecordedTrace) {
     let spec = DeviceSpec::rtx2080ti();
-    let live = profile_app(&spec, app, Variant::Baseline, make_builder()).0;
-    let (text, json, dot) = rendered(&live);
+    let live = rendered(&profile_app(&spec, app, Variant::Baseline, make_builder()).0);
+    let (text, json, dot) = &live;
 
     let bytes = record_app(&spec, app, Variant::Baseline, make_builder());
     let trace = read_trace(&bytes).unwrap_or_else(|e| panic!("{}: {e}", app.name()));
@@ -45,10 +80,12 @@ fn assert_replay_equivalent(app: &dyn GpuApp, make_builder: &dyn Fn() -> Profile
             .unwrap_or_else(|e| panic!("{}: replay failed: {e}", app.name()));
         let (rtext, rjson, rdot) = rendered(&replayed);
         let engine = if shards == 0 { "sync".into() } else { format!("{shards}-shard") };
-        assert_eq!(text, rtext, "{}: text report diverged ({engine} replay)", app.name());
-        assert_eq!(json, rjson, "{}: JSON report diverged ({engine} replay)", app.name());
-        assert_eq!(dot, rdot, "{}: flow-graph DOT diverged ({engine} replay)", app.name());
+        assert_eq!(text, &rtext, "{}: text report diverged ({engine} replay)", app.name());
+        assert_eq!(json, &rjson, "{}: JSON report diverged ({engine} replay)", app.name());
+        assert_eq!(dot, &rdot, "{}: flow-graph DOT diverged ({engine} replay)", app.name());
     }
+    assert_streams_to(app, &bytes, make_builder, &STREAM_SHARDS, &live);
+    (bytes, trace)
 }
 
 /// Records `app` once and checks that replaying from a *projected,
@@ -85,13 +122,23 @@ fn assert_projected_replay_equivalent(
     }
 }
 
-/// Coarse + fine on every bundled workload, through every engine.
+/// Coarse + fine on every bundled workload, through every engine,
+/// materialized and streamed. A streamed coarse-only replay of the same
+/// recording — every batch frame takes the structural walk
+/// (`ColumnSet::NONE`) and allocates no records — matches the
+/// materialized coarse-only replay.
 #[test]
 fn every_workload_replays_byte_identically() {
+    let both = || ValueExpert::builder().coarse(true).fine(true).block_sampling(4);
+    let coarse = || ValueExpert::builder().coarse(true).fine(false);
     for app in all_apps() {
-        assert_replay_equivalent(app.as_ref(), &|| {
-            ValueExpert::builder().coarse(true).fine(true).block_sampling(4)
-        });
+        let (bytes, trace) = assert_replay_equivalent(app.as_ref(), &both);
+        let expected = rendered(
+            &coarse()
+                .replay(&trace)
+                .unwrap_or_else(|e| panic!("{}: coarse-only replay failed: {e}", app.name())),
+        );
+        assert_streams_to(app.as_ref(), &bytes, &coarse, &[1], &expected);
     }
 }
 
@@ -189,7 +236,8 @@ fn subset_replays_match_live_subset_sessions() {
 }
 
 /// Replaying passes the trace never carried fails with an actionable
-/// error instead of producing an empty report.
+/// error instead of producing an empty report — for a streamed replay
+/// too, which checks the header's pass flags before reading any frame.
 #[test]
 fn replaying_unrecorded_passes_is_an_error() {
     let spec = DeviceSpec::rtx2080ti();
@@ -205,6 +253,9 @@ fn replaying_unrecorded_passes_is_an_error() {
     let err = ValueExpert::builder().coarse(true).fine(true).replay(&trace).unwrap_err();
     assert_eq!(err, ReplayError::FineNotRecorded);
     assert!(err.to_string().contains("--fine"), "{err}");
+    let reader = TraceReader::new(bytes.as_slice()).expect("header decodes");
+    let err = ValueExpert::builder().coarse(true).fine(true).replay_reader(reader).unwrap_err();
+    assert_eq!(err, ReplayError::FineNotRecorded);
 }
 
 /// The same `--fine` trace replays through the GVProf baseline, matching

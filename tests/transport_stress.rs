@@ -1,148 +1,20 @@
-//! Threaded stress tests for the channel transport and the pipelined
-//! session lifecycle: back-pressure from a producer that outruns its
-//! consumers, the zero-capacity rendezvous edge case, consumers vanishing
-//! mid-stream, and sessions torn down without a report. Each test
-//! finishing at all is half the assertion — a deadlock hangs the suite.
+//! Threaded stress tests for the bounded channels that feed the analysis
+//! pipeline, and for the pipelined session lifecycle:
+//! back-pressure from a producer that outruns its consumers, consumers
+//! vanishing mid-stream, and sessions torn down without a report. Each
+//! test finishing at all is half the assertion — a deadlock hangs the
+//! suite.
 
-use crossbeam::channel::bounded;
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 use vex_core::prelude::*;
-use vex_gpu::callpath::CallPathId;
+use vex_core::profiler::ProfilerBuilder;
 use vex_gpu::dim::Dim3;
 use vex_gpu::exec::ThreadCtx;
-use vex_gpu::hooks::{LaunchId, LaunchInfo};
 use vex_gpu::ir::{InstrTable, InstrTableBuilder, MemSpace, Pc, ScalarType};
 use vex_gpu::kernel::Kernel;
 use vex_gpu::prelude::DevicePtr;
 use vex_gpu::runtime::Runtime;
-use vex_gpu::stream::StreamId;
 use vex_gpu::timing::DeviceSpec;
-use vex_trace::transport::{ChannelSink, TraceEvent};
-use vex_trace::{AccessRecord, TraceSink};
-
-fn info(launch: u64) -> LaunchInfo {
-    LaunchInfo {
-        launch: LaunchId(launch),
-        kernel_name: "stress".to_owned(),
-        grid: Dim3::linear(1),
-        block: Dim3::linear(1),
-        shared_bytes: 0,
-        context: CallPathId::ROOT,
-        stream: StreamId::DEFAULT,
-        instr_table: Arc::new(InstrTable::default()),
-    }
-}
-
-fn rec(addr: u64) -> AccessRecord {
-    AccessRecord {
-        pc: Pc(0),
-        addr,
-        bits: 0,
-        size: 4,
-        is_store: true,
-        space: MemSpace::Global,
-        block: 0,
-        thread: 0,
-        is_atomic: false,
-    }
-}
-
-/// A producer pushing far faster than the consumer drains, across a
-/// shallow bounded queue: back-pressure must block, never drop or
-/// reorder.
-#[test]
-fn fast_producer_slow_consumer_loses_nothing() {
-    const BATCHES: u64 = 200;
-    let (tx, rx) = bounded(2);
-    let sink = Arc::new(ChannelSink::new(tx, Some));
-    let producer_sink = sink.clone();
-
-    let consumer = thread::spawn(move || {
-        let mut addrs = Vec::new();
-        while let Ok(ev) = rx.recv() {
-            if let TraceEvent::Batch { records, .. } = ev {
-                addrs.push(records[0].addr);
-                // Outrun by the producer on purpose.
-                thread::sleep(Duration::from_micros(200));
-            }
-        }
-        addrs
-    });
-
-    let producer = thread::spawn(move || {
-        for i in 0..BATCHES {
-            producer_sink.on_batch(&info(0), &[rec(i)]);
-        }
-    });
-
-    producer.join().expect("producer completes");
-    assert_eq!(sink.delivered(), BATCHES);
-    assert_eq!(sink.dropped(), 0);
-    drop(sink); // disconnect so the consumer's recv loop ends
-    let addrs = consumer.join().expect("consumer completes");
-    assert_eq!(addrs, (0..BATCHES).collect::<Vec<_>>());
-}
-
-/// Capacity zero is the rendezvous edge case: every send must pair with
-/// a receive, and the stream still completes in order.
-#[test]
-fn zero_capacity_channel_rendezvous_completes() {
-    const BATCHES: u64 = 50;
-    let (tx, rx) = bounded(0);
-    let sink = ChannelSink::new(tx, Some);
-
-    let consumer = thread::spawn(move || {
-        let mut n = 0u64;
-        while let Ok(ev) = rx.recv() {
-            if let TraceEvent::Batch { records, .. } = ev {
-                assert_eq!(records[0].addr, n);
-                n += 1;
-            }
-        }
-        n
-    });
-
-    for i in 0..BATCHES {
-        sink.on_batch(&info(0), &[rec(i)]);
-    }
-    assert_eq!(sink.delivered(), BATCHES);
-    drop(sink);
-    assert_eq!(consumer.join().expect("consumer completes"), BATCHES);
-}
-
-/// Consumers vanishing mid-stream (profiler shutdown while a kernel is
-/// still producing) must never block or panic the application thread —
-/// subsequent publishes count as dropped and return immediately.
-#[test]
-fn consumer_shutdown_mid_stream_never_blocks_the_producer() {
-    const BATCHES: u64 = 100;
-    const CONSUMED: u64 = 10;
-    let (tx, rx) = bounded(4);
-    let sink = Arc::new(ChannelSink::new(tx, Some));
-    let producer_sink = sink.clone();
-
-    let consumer = thread::spawn(move || {
-        for _ in 0..CONSUMED {
-            rx.recv().expect("first batches arrive");
-        }
-        // rx dropped here, mid-stream.
-    });
-
-    let producer = thread::spawn(move || {
-        for i in 0..BATCHES {
-            producer_sink.on_batch(&info(0), &[rec(i)]);
-        }
-    });
-
-    consumer.join().expect("consumer completes");
-    producer.join().expect("producer completes despite disconnection");
-    // Everything was either delivered (possibly buffered and discarded
-    // when the receiver dropped) or counted as dropped; nothing hung.
-    assert_eq!(sink.delivered() + sink.dropped(), BATCHES);
-    assert!(sink.dropped() > 0, "disconnection was observed");
-}
+use vex_trace::container::TraceReader;
 
 const N: usize = 256;
 
@@ -166,21 +38,62 @@ impl Kernel for Sweep {
     }
 }
 
-fn pipelined_run(shards: usize, depth: usize) -> (Runtime, ValueExpert) {
-    let mut rt = Runtime::new(DeviceSpec::test_small());
-    let vex = ValueExpert::builder()
+/// Four sweeps over one buffer.
+fn sweep(rt: &mut Runtime) {
+    let dst = rt.malloc((N * 4) as u64, "buf").unwrap();
+    for i in 0..4 {
+        rt.launch(&Sweep { dst, value: i as f32 }, Dim3::linear(2), Dim3::linear(128)).unwrap();
+    }
+}
+
+fn builder(shards: usize, depth: usize) -> ProfilerBuilder {
+    ValueExpert::builder()
         .coarse(true)
         .fine(true)
         .reuse_distance(32)
         .race_detection(true)
         .analysis_shards(shards)
         .analysis_queue_depth(depth)
-        .attach(&mut rt);
-    let dst = rt.malloc((N * 4) as u64, "buf").unwrap();
-    for i in 0..4 {
-        rt.launch(&Sweep { dst, value: i as f32 }, Dim3::linear(2), Dim3::linear(128)).unwrap();
-    }
+}
+
+fn pipelined_run(shards: usize, depth: usize) -> (Runtime, ValueExpert) {
+    let mut rt = Runtime::new(DeviceSpec::test_small());
+    let vex = builder(shards, depth).attach(&mut rt);
+    sweep(&mut rt);
     (rt, vex)
+}
+
+/// A streamed replay outrunning a slow consumer — a depth-1 pipeline fed
+/// a four-record batch per frame as fast as the trace decodes — must
+/// block, never drop or reorder: the report matches the live session's.
+#[test]
+fn fast_producer_slow_consumer_loses_nothing() {
+    let make = || builder(2, 1).buffer_capacity(4);
+    let mut rt = Runtime::new(DeviceSpec::test_small());
+    let live = make().attach(&mut rt);
+    sweep(&mut rt);
+    let expected = live.report(&rt).to_json().unwrap();
+
+    let mut rt = Runtime::new(DeviceSpec::test_small());
+    let recording = make().record(&mut rt, Vec::new()).unwrap();
+    sweep(&mut rt);
+    let bytes = recording.finish(&mut rt).unwrap();
+    let reader = TraceReader::new(bytes.as_slice()).unwrap();
+    let replayed = make().replay_reader(reader).unwrap();
+    assert_eq!(replayed.to_json().unwrap(), expected);
+}
+
+/// Analysis shutting down mid-stream (the session dropped while the
+/// application keeps launching kernels) must never block or panic the
+/// application thread: publishes into the stopped pipeline return at
+/// once.
+#[test]
+fn consumer_shutdown_mid_stream_never_blocks_the_producer() {
+    for shards in [1, 2, 8] {
+        let (mut rt, vex) = pipelined_run(shards, 1);
+        drop(vex);
+        sweep(&mut rt);
+    }
 }
 
 /// Dropping a pipelined session without ever asking for a report must
