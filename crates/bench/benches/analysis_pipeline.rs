@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use vex_core::prelude::*;
-use vex_core::sha256::sha256;
+use vex_core::sha256::{sha256, sha256_portable};
 use vex_gpu::dim::Dim3;
 use vex_gpu::exec::ThreadCtx;
 use vex_gpu::ir::{InstrTable, InstrTableBuilder, MemSpace, Pc, ScalarType};
@@ -86,13 +86,18 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// Snapshot hashing, in bytes/s: `dispatch` is `sha256` (the SHA
+/// extensions where the CPU has them), `portable` the scalar reference.
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
     for &kb in &[4usize, 64, 1024] {
         let data = vec![0xABu8; kb * 1024];
         group.throughput(Throughput::Bytes((kb * 1024) as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(kb), &data, |b, d| {
+        group.bench_with_input(BenchmarkId::new("dispatch", kb), &data, |b, d| {
             b.iter(|| sha256(black_box(d)))
+        });
+        group.bench_with_input(BenchmarkId::new("portable", kb), &data, |b, d| {
+            b.iter(|| sha256_portable(black_box(d)))
         });
     }
     group.finish();

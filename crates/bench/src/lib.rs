@@ -82,6 +82,73 @@ pub fn record_app(
     rec.finish(&mut rt).expect("in-memory trace trailer")
 }
 
+/// Three traces whose captures miss bytes the coarse pass needs, by
+/// name, each flagged for both passes:
+///
+/// * `missing-malloc`: an allocation with no capture;
+/// * `huge-malloc`: a 2^46-byte allocation with no capture;
+/// * `kernel-gap`: a whole allocation, then a kernel write range with no
+///   captured segment.
+///
+/// The recorder never writes these. The first two fail to decode; the
+/// third decodes and fails in the coarse pass.
+///
+/// # Panics
+///
+/// Panics if writing the in-memory container fails.
+pub fn capture_gap_traces() -> Vec<(&'static str, Vec<u8>)> {
+    use std::sync::Arc;
+    use vex_gpu::alloc::{AllocId, AllocationInfo};
+    use vex_gpu::callpath::CallPathId;
+    use vex_gpu::hooks::{ApiEvent, ApiKind, CapturedView, LaunchId};
+    use vex_gpu::stream::StreamId;
+    use vex_trace::container::{TraceFlags, TraceWriter};
+    use vex_trace::event::{Event, EventSink, KernelSummary};
+    use vex_trace::interval::Interval;
+    use vex_trace::CollectorStats;
+
+    let api = |seq, kind, kernel, segments| Event::Api {
+        event: ApiEvent { seq, kind, context: CallPathId::ROOT, stream: StreamId::DEFAULT },
+        kernel,
+        captured: Arc::new(CapturedView::from_segments(segments)),
+    };
+    let malloc = |size, segments| {
+        let info = AllocationInfo {
+            id: AllocId(0),
+            addr: 256,
+            size,
+            label: "buf".into(),
+            context: CallPathId::ROOT,
+            live: true,
+        };
+        api(0, ApiKind::Malloc { info }, None, segments)
+    };
+    let write = |events: &[Event]| {
+        let flags = TraceFlags { coarse: true, fine: true };
+        let writer = TraceWriter::new(Vec::new(), &DeviceSpec::test_small(), flags)
+            .expect("in-memory trace header");
+        for event in events {
+            writer.on_event(event);
+        }
+        writer.finish(&[], &CollectorStats::default(), 1.0).expect("in-memory trace trailer")
+    };
+    let kernel = api(
+        1,
+        ApiKind::KernelLaunch { launch: LaunchId(0), name: "fill".into() },
+        Some(KernelSummary {
+            reads: Vec::new(),
+            writes: vec![Interval::new(256, 512)],
+            raw: 1,
+        }),
+        Vec::new(),
+    );
+    vec![
+        ("missing-malloc", write(&[malloc(1024, Vec::new())])),
+        ("huge-malloc", write(&[malloc(1 << 46, Vec::new())])),
+        ("kernel-gap", write(&[malloc(1024, vec![(256, vec![0; 1024])]), kernel])),
+    ]
+}
+
 /// Speedups of one application on one device (a Table 3 cell pair).
 #[derive(Debug, Clone, Serialize)]
 pub struct SpeedupRow {

@@ -1491,14 +1491,17 @@ fn write_info_json(
 /// Streams the trace at `path` through `b` ([`ProfilerBuilder::replay_reader`]):
 /// one projected batch in memory at a time. A pass the trace did not
 /// record is reported from the header, before any frame is read; any
-/// decode failure — however late in the stream — fails the whole replay,
-/// so no partial report is ever rendered.
+/// decode failure — however late in the stream — or capture gap fails the
+/// whole replay, so no partial report is ever rendered.
 fn replay_file(b: ProfilerBuilder, path: &str) -> Result<Profile, UsageError> {
-    let cannot_read = |e: DecodeError| UsageError(format!("cannot read trace '{path}': {e}"));
-    let file = std::fs::File::open(path).map_err(|e| cannot_read(e.into()))?;
-    let reader = TraceReader::new(std::io::BufReader::new(file)).map_err(cannot_read)?;
+    let cannot_read =
+        |e: &dyn std::fmt::Display| UsageError(format!("cannot read trace '{path}': {e}"));
+    let file = std::fs::File::open(path).map_err(|e| cannot_read(&DecodeError::from(e)))?;
+    let reader =
+        TraceReader::new(std::io::BufReader::new(file)).map_err(|e| cannot_read(&e))?;
     b.replay_reader(reader).map_err(|e| match e {
-        ReplayError::Decode(e) => cannot_read(e),
+        ReplayError::Decode(e) => cannot_read(&e),
+        ReplayError::CaptureGap(gap) => cannot_read(&gap),
         e => UsageError(e.to_string()),
     })
 }

@@ -93,6 +93,40 @@ pub struct CoarseTraffic {
     pub bytes_compared: u64,
 }
 
+/// A device range the coarse pass had to read but the capture does not
+/// hold. The recorder captures every allocation and every write range
+/// whole, so a gap means the trace is corrupt or crafted; replay reports
+/// it as an error instead of analyzing around it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CaptureGap {
+    /// Sequence number of the API call whose analysis needed the range.
+    pub seq: u64,
+    /// First address of the missing range.
+    pub addr: u64,
+    /// Length of the missing range in bytes.
+    pub len: u64,
+}
+
+impl std::fmt::Display for CaptureGap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "API call {} needs the {} bytes at {:#x}, which the trace did not capture",
+            self.seq, self.len, self.addr
+        )
+    }
+}
+
+/// Reads `[addr, addr+len)` from `view`, or `None` when the view does
+/// not hold the range; checked before any buffer is sized for it.
+fn read_covered(view: &dyn DeviceView, addr: u64, len: u64) -> Option<Vec<u8>> {
+    if view.covers(addr, len) {
+        view.read_vec(addr, len).ok()
+    } else {
+        None
+    }
+}
+
 /// Per-object CPU-side state.
 #[derive(Debug)]
 struct ObjectState {
@@ -115,6 +149,7 @@ pub struct CoarseState {
     seen_duplicates: BTreeSet<(AllocId, AllocId, VertexId)>,
     copy_plans: BTreeMap<String, ObjectCopyPlan>,
     traffic: CoarseTraffic,
+    gap: Option<CaptureGap>,
     /// Intervals of the in-flight kernel (if any).
     pub(crate) current_kernel: Option<KernelIntervals>,
 }
@@ -133,6 +168,7 @@ impl CoarseState {
             seen_duplicates: BTreeSet::new(),
             copy_plans: BTreeMap::new(),
             traffic: CoarseTraffic::default(),
+            gap: None,
             current_kernel: None,
         }
     }
@@ -162,6 +198,12 @@ impl CoarseState {
         self.traffic
     }
 
+    /// The first range the capture did not hold, if any. Once set, the
+    /// analyzer ignores later events: its products are incomplete.
+    pub fn capture_gap(&self) -> Option<CaptureGap> {
+        self.gap
+    }
+
     /// Consumes the analyzer, returning its products.
     #[allow(clippy::type_complexity)]
     pub fn into_parts(
@@ -184,12 +226,32 @@ impl CoarseState {
         registry: &ObjectRegistry,
         view: &dyn DeviceView,
     ) {
+        if self.gap.is_some() {
+            return;
+        }
+        if let Err(missing) = self.analyze_api(event, registry, view) {
+            self.gap =
+                Some(CaptureGap { seq: event.seq, addr: missing.start, len: missing.len() });
+        }
+    }
+
+    /// [`CoarseState::on_api_after`]'s analysis; `Err` carries the first
+    /// range `view` does not hold.
+    fn analyze_api(
+        &mut self,
+        event: &ApiEvent,
+        registry: &ObjectRegistry,
+        view: &dyn DeviceView,
+    ) -> Result<(), Interval> {
         match &event.kind {
             ApiKind::Malloc { info } => {
                 let v = self.flow.intern_vertex(VertexKind::Alloc, &info.label, event.context);
                 self.alloc_vertex.insert(info.id, v);
                 self.flow.set_initial_writer(info.id, v);
-                let shadow = view.read_vec(info.addr, info.size).expect("allocation readable");
+                let shadow = read_covered(view, info.addr, info.size).ok_or(Interval {
+                    start: info.addr,
+                    end: info.addr.saturating_add(info.size),
+                })?;
                 self.objects.insert(
                     info.id,
                     ObjectState { shadow, hash: None, label: info.label.clone() },
@@ -200,7 +262,7 @@ impl CoarseState {
             }
             ApiKind::Memset { dst, bytes, .. } => {
                 let v = self.flow.intern_vertex(VertexKind::Memset, "memset", event.context);
-                self.write_range(v, "memset", event.context, *dst, *bytes, registry, view);
+                self.write_range(v, "memset", event.context, *dst, *bytes, registry, view)?;
             }
             ApiKind::MemcpyH2D { dst, bytes } => {
                 let v =
@@ -208,7 +270,7 @@ impl CoarseState {
                 if let Some(obj) = registry.find(dst.addr()) {
                     self.flow.record_host_source(v, obj.id, *bytes);
                 }
-                self.write_range(v, "memcpy_h2d", event.context, *dst, *bytes, registry, view);
+                self.write_range(v, "memcpy_h2d", event.context, *dst, *bytes, registry, view)?;
             }
             ApiKind::MemcpyD2H { src, bytes } => {
                 let v =
@@ -224,7 +286,7 @@ impl CoarseState {
                 if let Some(obj) = registry.find(src.addr()) {
                     self.flow.record_access(v, obj.id, AccessKind::Read, *bytes, 0);
                 }
-                self.write_range(v, "memcpy_d2d", event.context, *dst, *bytes, registry, view);
+                self.write_range(v, "memcpy_d2d", event.context, *dst, *bytes, registry, view)?;
             }
             ApiKind::KernelLaunch { name, .. } => {
                 let v = self.flow.intern_vertex(VertexKind::Kernel, name, event.context);
@@ -240,11 +302,12 @@ impl CoarseState {
                         writes,
                         registry,
                         view,
-                    );
+                    )?;
                 }
             }
             _ => {}
         }
+        Ok(())
     }
 
     /// Processes a contiguous write `[dst, dst+bytes)` by API `v`.
@@ -258,16 +321,16 @@ impl CoarseState {
         bytes: u64,
         registry: &ObjectRegistry,
         view: &dyn DeviceView,
-    ) {
+    ) -> Result<(), Interval> {
         let Some(obj) = registry.find(dst.addr()).cloned() else {
-            return;
+            return Ok(());
         };
         let end = (dst.addr() + bytes).min(obj.addr + obj.size);
         if end <= dst.addr() {
-            return;
+            return Ok(());
         }
         let intervals = vec![Interval::new(dst.addr(), end)];
-        self.diff_and_update(v, api, context, obj.id, &obj.label, obj.addr, &intervals, view);
+        self.diff_and_update(v, api, context, obj.id, &obj.label, obj.addr, &intervals, view)
     }
 
     /// Processes merged kernel intervals against all overlapped objects.
@@ -281,7 +344,7 @@ impl CoarseState {
         writes: Vec<Interval>,
         registry: &ObjectRegistry,
         view: &dyn DeviceView,
-    ) {
+    ) -> Result<(), Interval> {
         let merged_reads = merge_parallel(&reads);
         let merged_writes = merge_parallel(&writes);
         self.traffic.merged_intervals += (merged_reads.len() + merged_writes.len()) as u64;
@@ -295,13 +358,15 @@ impl CoarseState {
         for (obj, ivs) in split_by_object(&merged_writes, registry) {
             let info = registry.info(obj).expect("split_by_object yields known objects");
             let (addr, label) = (info.addr, info.label.clone());
-            self.diff_and_update(v, name, context, obj, &label, addr, &ivs, view);
+            self.diff_and_update(v, name, context, obj, &label, addr, &ivs, view)?;
         }
+        Ok(())
     }
 
     /// Diffs shadow vs device over `intervals` of one object, records the
     /// write edge, emits a redundancy finding when warranted, updates the
-    /// shadow, and refreshes the duplicate hash.
+    /// shadow, and refreshes the duplicate hash. `Err` carries the first
+    /// interval `view` does not hold.
     #[allow(clippy::too_many_arguments)]
     fn diff_and_update(
         &mut self,
@@ -313,9 +378,9 @@ impl CoarseState {
         obj_addr: u64,
         intervals: &[Interval],
         view: &dyn DeviceView,
-    ) {
+    ) -> Result<(), Interval> {
         let Some(state) = self.objects.get_mut(&obj) else {
-            return;
+            return Ok(());
         };
         let plan: CopyPlan = plan_adaptive(intervals, state.shadow.len() as u64, &self.policy);
         self.traffic.snapshot_bytes += plan.bytes;
@@ -330,7 +395,7 @@ impl CoarseState {
         for iv in intervals {
             let off = (iv.start - obj_addr) as usize;
             let len = iv.len() as usize;
-            let new = view.read_vec(iv.start, iv.len()).expect("interval within device memory");
+            let new = read_covered(view, iv.start, iv.len()).ok_or(*iv)?;
             let old = &state.shadow[off..off + len];
             unchanged += unchanged_bytes(old, &new, iv.start);
             written += len as u64;
@@ -384,6 +449,7 @@ impl CoarseState {
                 });
             }
         }
+        Ok(())
     }
 }
 
@@ -463,6 +529,9 @@ mod tests {
         fn read(&self, addr: u64, dst: &mut [u8]) -> Result<(), vex_gpu::error::GpuError> {
             dst.copy_from_slice(&self.mem[addr as usize..addr as usize + dst.len()]);
             Ok(())
+        }
+        fn covers(&self, addr: u64, len: u64) -> bool {
+            addr.checked_add(len).is_some_and(|end| end <= self.mem.len() as u64)
         }
         fn find_allocation(&self, _addr: u64) -> Option<AllocationInfo> {
             None
@@ -649,6 +718,26 @@ mod tests {
         let (_, _, _, d) = g.edges().find(|&(_, t, _, _)| t == kernel).unwrap();
         assert_eq!(d.reads, 1);
         assert_eq!(d.bytes, 64);
+    }
+
+    #[test]
+    fn uncaptured_ranges_record_the_first_gap() {
+        use vex_gpu::hooks::CapturedView;
+        let (mut c, mut reg, _) = setup();
+        let info = alloc_info(1, 256, 64, "buf");
+        reg.on_alloc(&info);
+        let whole = CapturedView::from_segments(vec![(256, vec![0; 64])]);
+        c.on_api_after(&ev(0, ApiKind::Malloc { info }), &reg, &whole);
+        assert_eq!(c.capture_gap(), None);
+        let partial = CapturedView::from_segments(vec![(256, vec![0; 16])]);
+        let memset = ApiKind::Memset { dst: DevicePtr(256), value: 0, bytes: 32 };
+        c.on_api_after(&ev(1, memset.clone()), &reg, &partial);
+        let gap = CaptureGap { seq: 1, addr: 256, len: 32 };
+        assert_eq!(c.capture_gap(), Some(gap));
+        // Later events are ignored; the first gap stays.
+        c.on_api_after(&ev(2, memset), &reg, &CapturedView::new());
+        assert_eq!(c.capture_gap(), Some(gap));
+        assert!(c.redundancies().is_empty());
     }
 
     #[test]

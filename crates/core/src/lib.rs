@@ -74,7 +74,7 @@ pub mod sha256;
 /// Convenient glob import for profiler users.
 pub mod prelude {
     pub use crate::cluster::{ClusterReport, ClusterSession};
-    pub use crate::coarse::{DuplicateFinding, RedundancyFinding};
+    pub use crate::coarse::{CaptureGap, DuplicateFinding, RedundancyFinding};
     pub use crate::copy_strategy::{AdaptivePolicy, CopyStrategy, ObjectCopyPlan};
     pub use crate::diff::{
         diff_profiles, DeltaCategory, DeltaDirection, DiffOptions, ProfileDiff,

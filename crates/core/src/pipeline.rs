@@ -48,7 +48,7 @@
 //! `tests/pipeline_equivalence.rs` locks this in for every bundled
 //! workload under 1, 2, and 8 shards.
 
-use crate::coarse::{CoarseState, CoarseTraffic, KernelIntervals};
+use crate::coarse::{CaptureGap, CoarseState, CoarseTraffic, KernelIntervals};
 use crate::coarse::{DuplicateFinding, RedundancyFinding};
 use crate::copy_strategy::{AdaptivePolicy, ObjectCopyPlan};
 use crate::fine::{FineFinding, FineState, FineTraffic};
@@ -207,6 +207,8 @@ pub(crate) struct CoarseSnapshot {
     pub copy_plans: Vec<ObjectCopyPlan>,
     /// Measurement traffic counters.
     pub traffic: CoarseTraffic,
+    /// The first range the capture did not hold, if any.
+    pub gap: Option<CaptureGap>,
 }
 
 /// Everything the profiler needs to assemble a [`crate::report::Profile`],
@@ -604,6 +606,7 @@ fn coarse_worker(rx: Receiver<CoarseMsg>, pattern: PatternConfig, policy: Adapti
                     duplicates: coarse.duplicates().to_vec(),
                     copy_plans: coarse.copy_plans(),
                     traffic: coarse.traffic(),
+                    gap: coarse.capture_gap(),
                 });
             }
             CoarseMsg::Shutdown => return,

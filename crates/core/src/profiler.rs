@@ -30,7 +30,8 @@
 //! ```
 
 use crate::coarse::{
-    CoarseState, CoarseTraffic, DuplicateFinding, KernelIntervals, RedundancyFinding,
+    CaptureGap, CoarseState, CoarseTraffic, DuplicateFinding, KernelIntervals,
+    RedundancyFinding,
 };
 use crate::copy_strategy::{AdaptivePolicy, ObjectCopyPlan};
 use crate::fine::{FineFinding, FineState, FineTraffic};
@@ -446,6 +447,9 @@ impl ProfilerBuilder {
         // fine replays surface the recorded counters.
         let stats = if self.fine { stats } else { CollectorStats::default() };
         let products = vex.products();
+        if let Some(gap) = products.capture_gap {
+            return Err(ReplayError::CaptureGap(gap));
+        }
         Ok(vex.assemble(products, stats, spec, app_us, |id| {
             contexts
                 .get(&id)
@@ -456,7 +460,8 @@ impl ProfilerBuilder {
 }
 
 /// Replaying a trace failed: the requested passes were not recorded
-/// (detected before any analysis ran), or the trace failed to decode.
+/// (detected before any analysis ran), the trace failed to decode, or
+/// its captures miss bytes the coarse pass needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayError {
     /// Coarse analysis was requested but the trace carries no capture
@@ -468,6 +473,9 @@ pub enum ReplayError {
     /// A streamed trace ([`ProfilerBuilder::replay_reader`]) failed to
     /// decode mid-stream.
     Decode(DecodeError),
+    /// The coarse pass had to read device bytes the trace did not
+    /// capture (a corrupt or crafted trace).
+    CaptureGap(CaptureGap),
 }
 
 impl std::fmt::Display for ReplayError {
@@ -484,6 +492,7 @@ impl std::fmt::Display for ReplayError {
                  fine-grained analyses"
             ),
             ReplayError::Decode(e) => e.fmt(f),
+            ReplayError::CaptureGap(gap) => gap.fmt(f),
         }
     }
 }
@@ -650,6 +659,7 @@ struct EngineProducts {
     duplicates: Vec<DuplicateFinding>,
     copy_plans: Vec<ObjectCopyPlan>,
     coarse_traffic: CoarseTraffic,
+    capture_gap: Option<CaptureGap>,
     fine_findings: Vec<FineFinding>,
     fine_traffic: FineTraffic,
     reuse: Option<ReuseHistogram>,
@@ -705,6 +715,8 @@ impl ValueExpert {
     /// synchronous engine's.
     pub fn report(&self, rt: &Runtime) -> Profile {
         let products = self.products();
+        // A live session captures every range the coarse pass reads.
+        assert_eq!(products.capture_gap, None, "live capture missed a range");
         let cp = rt.callpaths();
         self.assemble(
             products,
@@ -719,15 +731,18 @@ impl ValueExpert {
     fn products(&self) -> EngineProducts {
         if let Some(p) = &self.pipeline {
             let products = p.flush();
-            let (flow, redundancies, duplicates, copy_plans, coarse_traffic) =
+            let (flow, redundancies, duplicates, copy_plans, coarse_traffic, capture_gap) =
                 match products.coarse {
-                    Some(c) => (c.flow, c.redundancies, c.duplicates, c.copy_plans, c.traffic),
+                    Some(c) => {
+                        (c.flow, c.redundancies, c.duplicates, c.copy_plans, c.traffic, c.gap)
+                    }
                     None => (
                         FlowGraph::new(),
                         Vec::new(),
                         Vec::new(),
                         Vec::new(),
                         CoarseTraffic::default(),
+                        None,
                     ),
                 };
             let (fine_findings, fine_traffic) = match products.fine {
@@ -740,6 +755,7 @@ impl ValueExpert {
                 duplicates,
                 copy_plans,
                 coarse_traffic,
+                capture_gap,
                 fine_findings,
                 fine_traffic,
                 reuse: products.reuse,
@@ -748,18 +764,25 @@ impl ValueExpert {
         }
 
         let inner = self.sync.as_ref().expect("one engine is always built").inner.lock();
-        let (flow, redundancies, duplicates, copy_plans, coarse_traffic) = match &inner.coarse {
-            Some(c) => (
-                c.flow_graph().clone(),
-                c.redundancies().to_vec(),
-                c.duplicates().to_vec(),
-                c.copy_plans(),
-                c.traffic(),
-            ),
-            None => {
-                (FlowGraph::new(), Vec::new(), Vec::new(), Vec::new(), CoarseTraffic::default())
-            }
-        };
+        let (flow, redundancies, duplicates, copy_plans, coarse_traffic, capture_gap) =
+            match &inner.coarse {
+                Some(c) => (
+                    c.flow_graph().clone(),
+                    c.redundancies().to_vec(),
+                    c.duplicates().to_vec(),
+                    c.copy_plans(),
+                    c.traffic(),
+                    c.capture_gap(),
+                ),
+                None => (
+                    FlowGraph::new(),
+                    Vec::new(),
+                    Vec::new(),
+                    Vec::new(),
+                    CoarseTraffic::default(),
+                    None,
+                ),
+            };
         let (fine_findings, fine_traffic) = match &inner.fine {
             Some(f) => (f.merged_findings(), f.traffic()),
             None => (Vec::new(), FineTraffic::default()),
@@ -770,6 +793,7 @@ impl ValueExpert {
             duplicates,
             copy_plans,
             coarse_traffic,
+            capture_gap,
             fine_findings,
             fine_traffic,
             reuse: inner.reuse.as_ref().map(|r| r.histogram().clone()),

@@ -46,6 +46,11 @@ pub trait DeviceView {
     /// Returns [`crate::error::GpuError::OutOfBounds`] for invalid ranges.
     fn read(&self, addr: u64, dst: &mut [u8]) -> Result<(), crate::error::GpuError>;
 
+    /// Whether one [`DeviceView::read`] of `[addr, addr+len)` would
+    /// succeed. Allocates nothing, so a caller can refuse a range before
+    /// sizing a buffer for it.
+    fn covers(&self, addr: u64, len: u64) -> bool;
+
     /// Copies `[addr, addr+len)` into a fresh vector.
     ///
     /// # Errors
@@ -131,25 +136,36 @@ impl CapturedView {
         segments.sort_by_key(|(s, _)| *s);
         CapturedView { segments }
     }
+
+    /// The last segment starting at or before `addr`, with its end
+    /// address (saturated, so crafted segment starts cannot overflow).
+    fn segment_at(&self, addr: u64) -> Option<(&(u64, Vec<u8>), u64)> {
+        let idx = self.segments.partition_point(|(s, _)| *s <= addr);
+        let seg = self.segments.get(idx.checked_sub(1)?)?;
+        Some((seg, seg.0.saturating_add(seg.1.len() as u64)))
+    }
 }
 
 impl DeviceView for CapturedView {
     fn read(&self, addr: u64, dst: &mut [u8]) -> Result<(), crate::error::GpuError> {
         let len = dst.len() as u64;
-        // Last segment starting at or before `addr`.
-        let idx = self.segments.partition_point(|(s, _)| *s <= addr);
-        let mut limit = 0;
-        if idx > 0 {
-            let (start, bytes) = &self.segments[idx - 1];
-            let end = start + bytes.len() as u64;
-            if addr + len <= end {
+        match self.segment_at(addr) {
+            Some(((start, bytes), end)) if addr.checked_add(len).is_some_and(|e| e <= end) => {
                 let off = (addr - start) as usize;
                 dst.copy_from_slice(&bytes[off..off + dst.len()]);
-                return Ok(());
+                Ok(())
             }
-            limit = end;
+            found => Err(crate::error::GpuError::OutOfBounds {
+                addr,
+                len,
+                limit: found.map_or(0, |(_, end)| end),
+            }),
         }
-        Err(crate::error::GpuError::OutOfBounds { addr, len, limit })
+    }
+
+    fn covers(&self, addr: u64, len: u64) -> bool {
+        let want = addr.checked_add(len);
+        self.segment_at(addr).zip(want).is_some_and(|((_, end), want)| want <= end)
     }
 
     fn find_allocation(&self, _addr: u64) -> Option<AllocationInfo> {
@@ -384,6 +400,9 @@ mod tests {
             let a = addr as usize;
             dst.copy_from_slice(&self.0[a..a + dst.len()]);
             Ok(())
+        }
+        fn covers(&self, addr: u64, len: u64) -> bool {
+            addr.checked_add(len).is_some_and(|end| end <= self.0.len() as u64)
         }
         fn find_allocation(&self, _addr: u64) -> Option<AllocationInfo> {
             None

@@ -81,6 +81,11 @@ impl GlobalMemory {
         Ok((addr as usize, end as usize))
     }
 
+    /// Whether `[addr, addr+len)` lies inside device memory.
+    pub(crate) fn contains(&self, addr: u64, len: u64) -> bool {
+        self.check(addr, len).is_ok()
+    }
+
     /// Reads `dst.len()` bytes starting at `addr`.
     ///
     /// # Errors

@@ -30,6 +30,9 @@ impl DeviceView for View<'_> {
     fn read(&self, addr: u64, dst: &mut [u8]) -> Result<(), GpuError> {
         self.memory.read(addr, dst)
     }
+    fn covers(&self, addr: u64, len: u64) -> bool {
+        self.memory.contains(addr, len)
+    }
     fn find_allocation(&self, addr: u64) -> Option<AllocationInfo> {
         self.allocator.find_containing(addr).cloned()
     }

@@ -70,7 +70,7 @@ use std::sync::Arc;
 use vex_gpu::alloc::AllocationInfo;
 use vex_gpu::callpath::CallPathId;
 use vex_gpu::dim::Dim3;
-use vex_gpu::hooks::{ApiEvent, ApiKind, CapturedView, LaunchId, LaunchInfo};
+use vex_gpu::hooks::{ApiEvent, ApiKind, CapturedView, DeviceView, LaunchId, LaunchInfo};
 use vex_gpu::ir::{
     AccessDecl, FloatWidth, InstrTable, Instruction, IntWidth, MemSpace, Opcode, Pc, Reg,
     ScalarType,
@@ -1134,10 +1134,19 @@ impl<R: Read> TraceReader<R> {
                     segments.push((start, data));
                 }
                 p.finished().map_err(bad)?;
+                let captured = CapturedView::from_segments(segments);
+                // The recorder captures every allocation whole
+                // (`EventSource::on_api`), and the coarse pass shadows the
+                // object from that capture.
+                if let ApiKind::Malloc { info } = &api_kind {
+                    if self.flags.coarse && !captured.covers(info.addr, info.size) {
+                        return Err(bad("allocation not covered by its capture"));
+                    }
+                }
                 TraceFrame::Event(Event::Api {
                     event: ApiEvent { seq, kind: api_kind, context, stream },
                     kernel,
-                    captured: Arc::new(CapturedView::from_segments(segments)),
+                    captured: Arc::new(captured),
                 })
             }
             FRAME_LAUNCH_BEGIN | FRAME_SKIPPED_LAUNCH => {
@@ -1700,7 +1709,7 @@ mod tests {
                     stream: StreamId(0),
                 },
                 kernel: None,
-                captured: Arc::new(CapturedView::from_segments(vec![(4096, vec![0xCD; 16])])),
+                captured: Arc::new(CapturedView::from_segments(vec![(4096, vec![0xCD; 1024])])),
             },
             Event::Api {
                 event: ApiEvent {
@@ -1934,6 +1943,29 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn coarse_malloc_capture_must_cover_the_allocation() {
+        let mut events = sample_events();
+        let Event::Api { captured, .. } = &mut events[0] else { panic!("malloc comes first") };
+        *captured = Arc::new(CapturedView::from_segments(vec![(4096, vec![0; 1023])]));
+        let err = read_trace(&write_sample(&events)).unwrap_err();
+        assert_eq!(
+            err,
+            DecodeError::BadFrame {
+                kind: FRAME_API,
+                offset: 99,
+                what: "allocation not covered by its capture"
+            }
+        );
+        // A trace without the coarse pass captures nothing, and is not
+        // checked.
+        let flags = TraceFlags { coarse: false, fine: true };
+        let writer = TraceWriter::new(Vec::new(), &DeviceSpec::test_small(), flags).unwrap();
+        writer.on_event(&events[0]);
+        let bytes = writer.finish(&[], &CollectorStats::default(), 1.0).unwrap();
+        assert_eq!(read_trace(&bytes).unwrap().events.len(), 1);
     }
 
     #[test]

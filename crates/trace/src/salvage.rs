@@ -294,7 +294,7 @@ mod tests {
                     stream: StreamId(0),
                 },
                 kernel: None,
-                captured: Arc::new(CapturedView::new()),
+                captured: Arc::new(CapturedView::from_segments(vec![(4096, vec![0; 256])])),
             },
             Event::LaunchBegin { info: info.clone() },
             Event::Batch {

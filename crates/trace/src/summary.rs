@@ -169,7 +169,7 @@ mod tests {
                 stream: StreamId(0),
             },
             kernel: None,
-            captured: Arc::new(CapturedView::new()),
+            captured: Arc::new(CapturedView::from_segments(vec![(4096, vec![0; 256])])),
         });
         writer.on_event(&Event::LaunchBegin { info: info.clone() });
         writer.on_event(&Event::Batch {

@@ -16,11 +16,15 @@
 //!   [`TraceReader::dispatch`], and [`ProfilerBuilder::replay_reader`]
 //!   on top — yields the same events and fails with the same error as
 //!   [`read_trace_with`] under the same projection, and never panics on
-//!   corrupt input.
+//!   corrupt input;
+//! * a trace whose captures miss bytes the coarse pass needs fails with
+//!   an error on every replay path, the CLI included.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::sync::Mutex;
+use vex_bench::capture_gap_traces;
+use vex_cli::{parse_args, run};
 use vex_core::prelude::*;
 use vex_core::profiler::ProfilerBuilder;
 use vex_gpu::callpath::CallPathId;
@@ -512,6 +516,50 @@ fn truncation_mid_batch_fails_identically() {
     assert!(len > 8);
     let cut = &bytes[..frame_start + 5 + len / 2];
     assert_identical_decode_error(cut, "ends mid-frame");
+}
+
+/// A trace whose captures miss bytes the coarse pass needs fails whole —
+/// no panic, no abort, no partial report — on every replay path: decode
+/// then replay (synchronous and sharded engines), the streamed
+/// `replay_reader`, and `vex replay`. An allocation its capture does not
+/// cover is refused by the decoder before anything is sized for it; a
+/// kernel write range with no captured segment decodes and fails in the
+/// coarse pass.
+#[test]
+fn capture_gaps_fail_every_replay_path() {
+    let dir = std::env::temp_dir().join(format!("vex-capture-gap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let mut builders = replay_builders();
+    builders.push(ValueExpert::builder().coarse(true).fine(false).analysis_shards(2));
+    for (name, bytes) in capture_gap_traces() {
+        let want = match read_trace(&bytes) {
+            Ok(_) => {
+                assert_eq!(name, "kernel-gap");
+                ReplayError::CaptureGap(CaptureGap { seq: 1, addr: 256, len: 256 })
+            }
+            Err(e) => {
+                assert!(e.to_string().contains("allocation not covered by its capture"), "{e}");
+                ReplayError::Decode(e)
+            }
+        };
+        for builder in &builders {
+            let materialized = read_trace_with(&bytes, &builder.decode_options())
+                .map_err(ReplayError::Decode)
+                .and_then(|trace| builder.clone().replay(&trace));
+            assert_eq!(materialized.expect_err("materialized replay fails"), want, "{name}");
+            let reader = TraceReader::new(bytes.as_slice()).expect("header is intact");
+            let streamed = builder.clone().replay_reader(reader);
+            assert_eq!(streamed.expect_err("streamed replay fails"), want, "{name}");
+        }
+        let path = dir.join(format!("{name}.vex")).display().to_string();
+        std::fs::write(&path, &bytes).expect("write trace");
+        let cmd = parse_args(["replay", path.as_str()]).expect("replay command parses");
+        let mut out = Vec::new();
+        let err = run(&cmd, &mut out).expect_err("vex replay fails");
+        assert_eq!(err.0, format!("cannot read trace '{path}': {want}"));
+        assert!(out.is_empty(), "{name}: partial report {}", String::from_utf8_lossy(&out));
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // Corruption anywhere in a trace never panics or hangs the worker

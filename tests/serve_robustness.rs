@@ -7,16 +7,18 @@
 //! test then hammers mixed endpoints from 16 parallel clients and checks
 //! every response byte-for-byte against serially-fetched references,
 //! and that the report cache ends the run with a nonzero hit rate.
+//! Traces whose captures miss bytes, from disk or pushed by a client,
+//! get a 4xx and leave the server serving.
 
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::OnceLock;
-use vex_bench::{http_get, record_app};
+use vex_bench::{capture_gap_traces, http_get, http_post, record_app};
 use vex_cli::{parse_args, start_server, Command};
 use vex_core::prelude::*;
 use vex_gpu::timing::DeviceSpec;
-use vex_workloads::{all_apps, Variant};
+use vex_workloads::{all_apps, apps::qmcpack::Qmcpack, Variant};
 
 /// One shared server for the whole suite (leaked; it serves until the
 /// test process exits).
@@ -200,4 +202,67 @@ fn sixteen_concurrent_clients_see_uncorrupted_responses() {
         .parse::<u64>()
         .expect("numeric counter");
     assert!(report_count >= (CLIENTS * ROUNDS * 2) as u64, "{metrics}");
+}
+
+/// Traces whose captures miss bytes the coarse pass needs, read from the
+/// directory at startup (`disk-*`) or pushed by a client (`net-*`): an
+/// uncovered allocation is quarantined or refused at ingest, a kernel
+/// write gap loads but its report, flowgraph and diff answer 400 — and
+/// after each one a good trace's report still answers 200.
+#[test]
+fn capture_gap_traces_get_a_4xx_and_the_server_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("vex-serve-gap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create trace dir");
+    let app = Qmcpack { walkers: 4, setup_elems: 64, steps: 1 };
+    let good = record_app(
+        &DeviceSpec::rtx2080ti(),
+        &app,
+        Variant::Baseline,
+        ValueExpert::builder().coarse(true).fine(false),
+    );
+    std::fs::write(dir.join("good.vex"), good).expect("write trace");
+    let crafted = capture_gap_traces();
+    for (name, bytes) in &crafted {
+        std::fs::write(dir.join(format!("disk-{name}.vex")), bytes).expect("write trace");
+    }
+    let cmd = parse_args([
+        "serve",
+        dir.to_str().expect("utf8 dir"),
+        "--addr",
+        "127.0.0.1:0",
+        "--ingest",
+    ])
+    .expect("serve command parses");
+    let Command::Serve(args) = cmd else { panic!("parsed {cmd:?}") };
+    let server = start_server(&args).expect("server starts");
+    let addr = server.addr();
+
+    for (name, bytes) in &crafted {
+        let (status, body) = http_post(addr, &format!("/ingest/net-{name}"), bytes);
+        let body = String::from_utf8_lossy(&body);
+        if *name == "kernel-gap" {
+            assert_eq!(status, 201, "{name}: {body}");
+        } else {
+            assert_eq!(status, 400, "{name}: {body}");
+            assert!(body.contains("allocation not covered by its capture"), "{name}: {body}");
+        }
+        for id in [format!("disk-{name}"), format!("net-{name}")] {
+            for target in [
+                format!("/traces/{id}/report"),
+                format!("/traces/{id}/flowgraph"),
+                format!("/traces/{id}/diff/good"),
+            ] {
+                let (status, body) = http_get(addr, &target);
+                assert!(
+                    (400..500).contains(&status),
+                    "{target}: {status} {}",
+                    String::from_utf8_lossy(&body)
+                );
+            }
+            let (status, _) = http_get(addr, "/traces/good/report");
+            assert_eq!(status, 200, "good report after {id}");
+        }
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
