@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use vex_core::copy_strategy::{plan, plan_adaptive, AdaptivePolicy, CopyStrategy};
-use vex_core::interval::Interval;
+use vex_trace::interval::Interval;
 
 /// Disjoint intervals covering `density` of a span holding `count` pieces.
 fn layout(count: usize, density: f64) -> (Vec<Interval>, u64) {

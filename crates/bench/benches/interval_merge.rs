@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use vex_core::interval::{
+use vex_trace::interval::{
     merge_parallel, merge_parallel_threaded, merge_sequential, warp_compact, Interval,
 };
 

@@ -7,7 +7,7 @@
 use serde::Serialize;
 use std::time::Instant;
 use vex_bench::write_json;
-use vex_core::interval::{
+use vex_trace::interval::{
     covered_bytes, merge_parallel, merge_parallel_threaded, merge_sequential, Interval,
 };
 

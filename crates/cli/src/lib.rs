@@ -25,6 +25,7 @@
 
 use std::fmt;
 use vex_core::prelude::*;
+use vex_core::profiler::check_analysis_params;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
 use vex_gvprof::GvProfSession;
@@ -268,12 +269,13 @@ impl ReplayAnalysis {
         Ok(true)
     }
 
-    /// Rejects a configuration with neither pass enabled.
+    /// Rejects a configuration with neither pass enabled, a reuse line
+    /// size that is not a power of two, or too many shards.
     fn validate(&self) -> Result<(), UsageError> {
         if !self.coarse && !self.fine {
             return Err(UsageError("at least one of coarse/fine must stay enabled".into()));
         }
-        Ok(())
+        check_analysis_params(self.reuse, self.shards).map_err(UsageError)
     }
 
     /// The profiler these flags configure.
@@ -644,6 +646,7 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
             if !p.coarse && !p.fine {
                 return Err(UsageError("at least one of coarse/fine must stay enabled".into()));
             }
+            check_analysis_params(p.reuse, 0).map_err(UsageError)?;
             Ok(Command::Profile(p))
         }
         "speedup" => {
@@ -2233,6 +2236,33 @@ mod tests {
         // Everything off is an error, as for profile.
         assert!(parse_args(["replay", "t.vex", "--no-coarse"]).is_err());
         assert!(parse_args(["record", "x", "--no-coarse"]).is_err());
+    }
+
+    #[test]
+    fn unrunnable_analysis_params_are_usage_errors() {
+        let cases: [(&[&str], &str); 3] = [
+            (&["--fine", "--reuse", "3"], "power of two"),
+            (&["--fine", "--reuse", "0"], "power of two"),
+            (&["--fine", "--shards", "65"], "analysis shards"),
+        ];
+        for (flags, complaint) in cases {
+            for cmd in [&["replay", "t.vex"][..], &["diff", "a.vex", "b.vex"]] {
+                let args: Vec<&str> = cmd.iter().chain(flags).copied().collect();
+                let err = parse_args(args.iter().copied()).unwrap_err();
+                assert!(err.0.contains(complaint), "{args:?}: {err}");
+            }
+        }
+        // `profile` has no --shards; a bad line size fails the same check.
+        for line in ["3", "0"] {
+            let err = parse_args(["profile", "x", "--reuse", line]).unwrap_err();
+            assert!(err.0.contains("power of two"), "--reuse {line}: {err}");
+        }
+        assert!(parse_args(["profile", "x", "--shards", "65"]).is_err());
+        // The limits themselves parse.
+        assert!(
+            parse_args(["replay", "t.vex", "--fine", "--reuse", "1", "--shards", "64"]).is_ok()
+        );
+        assert!(parse_args(["profile", "x", "--reuse", "64"]).is_ok());
     }
 
     #[test]

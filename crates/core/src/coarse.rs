@@ -14,7 +14,7 @@
 
 use crate::copy_strategy::{plan_adaptive, AdaptivePolicy, CopyPlan, ObjectCopyPlan};
 use crate::flowgraph::{AccessKind, FlowGraph, VertexId, VertexKind};
-use crate::interval::{merge_parallel, Interval};
+use vex_trace::interval::{merge_parallel, Interval};
 // The warp-level interval monitor now lives with the canonical event model
 // (`vex_trace::event`), where the shared `EventSource` runs it once for
 // every engine; the coarse analyzer only consumes its output.
@@ -202,21 +202,6 @@ impl CoarseState {
     /// analyzer ignores later events: its products are incomplete.
     pub fn capture_gap(&self) -> Option<CaptureGap> {
         self.gap
-    }
-
-    /// Consumes the analyzer, returning its products.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(
-        self,
-    ) -> (
-        FlowGraph,
-        Vec<RedundancyFinding>,
-        Vec<DuplicateFinding>,
-        Vec<ObjectCopyPlan>,
-        CoarseTraffic,
-    ) {
-        let plans = self.copy_plans.into_values().collect();
-        (self.flow, self.redundancies, self.duplicates, plans, self.traffic)
     }
 
     /// Handles one API event (after execution).

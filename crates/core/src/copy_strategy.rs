@@ -15,8 +15,8 @@
 //! copy when the interval distribution is sparse and the interval count is
 //! small; min–max when it is dense or the count is large.
 
-use crate::interval::{covered_bytes, Interval};
 use serde::{Deserialize, Serialize};
+use vex_trace::interval::{covered_bytes, Interval};
 
 /// One of the three copy strategies of Figure 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -176,7 +176,7 @@ pub fn plan(strategy: CopyStrategy, merged: &[Interval], object_bytes: u64) -> C
 ///
 /// ```rust
 /// use vex_core::copy_strategy::{choose_strategy, AdaptivePolicy, CopyStrategy};
-/// use vex_core::interval::Interval;
+/// use vex_trace::interval::Interval;
 /// let policy = AdaptivePolicy::default();
 /// // Two touches a megabyte apart: copy the pieces, not the gap.
 /// let sparse = [Interval::new(0, 64), Interval::new(1 << 20, (1 << 20) + 64)];
@@ -314,7 +314,7 @@ mod tests {
             // Build disjoint sorted intervals by merging raw input.
             let ivs: Vec<Interval> =
                 raw.iter().map(|&(s, l)| iv(s, s + l)).collect();
-            let merged = crate::interval::merge_sequential(&ivs);
+            let merged = vex_trace::interval::merge_sequential(&ivs);
             let object_bytes = merged.last().unwrap().end + 128;
             let touched = covered_bytes(&merged);
 

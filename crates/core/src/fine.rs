@@ -16,8 +16,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use vex_gpu::callpath::CallPathId;
 use vex_gpu::hooks::{LaunchId, LaunchInfo};
-use vex_gpu::ir::MemSpace;
-use vex_trace::codec::{ColumnSet, DecodedBatch, FLAG_SHARED, FLAG_STORE};
 use vex_trace::AccessRecord;
 
 /// Load or store side of an object's accesses.
@@ -83,8 +81,8 @@ pub struct FineState {
     findings: Vec<FineFinding>,
     /// Object key of each entry in `findings`, index-aligned. Keys are not
     /// part of the reported finding (which names objects by label), but the
-    /// sharded pipeline needs them to reassemble the serial finding order
-    /// deterministically.
+    /// engine's reduction orders findings by them, so that any number of
+    /// shards reassembles one analyzer's finding order.
     finding_keys: Vec<ObjectKey>,
     traffic: FineTraffic,
 }
@@ -111,11 +109,6 @@ impl FineState {
     /// Analysis traffic counters.
     pub fn traffic(&self) -> FineTraffic {
         self.traffic
-    }
-
-    /// Consumes the analyzer, returning findings and traffic.
-    pub fn into_parts(self) -> (Vec<FineFinding>, FineTraffic) {
-        (self.findings, self.traffic)
     }
 
     /// Ingests one record batch of an instrumented launch.
@@ -147,73 +140,6 @@ impl FineState {
             let value = types.decode(rec.pc, rec.bits, rec.size);
             let dir = if rec.is_store { Direction::Store } else { Direction::Load };
             groups.entry((key, dir)).or_default().push((rec.addr, value, rec.pc));
-        }
-        for ((key, dir), accesses) in groups {
-            self.current
-                .entry((key, dir))
-                .or_insert_with(|| ValueStats::new(self.config))
-                .record_batch(&accesses);
-        }
-    }
-
-    /// Columns of the record stream the fine pass reads (thread ids are
-    /// never consulted).
-    pub const COLUMNS: ColumnSet = ColumnSet::PC
-        .union(ColumnSet::ADDR)
-        .union(ColumnSet::BITS)
-        .union(ColumnSet::SIZE)
-        .union(ColumnSet::FLAGS)
-        .union(ColumnSet::BLOCK);
-
-    /// Ingests one decoded batch column-at-a-time through its
-    /// structure-of-arrays surface, skipping row assembly entirely.
-    /// Groups and accumulated stats are identical to
-    /// [`FineState::on_batch`] over the row form of the same batch.
-    ///
-    /// # Panics
-    ///
-    /// If `batch` was not decoded with (at least) [`FineState::COLUMNS`].
-    pub fn on_decoded_batch(
-        &mut self,
-        info: &LaunchInfo,
-        batch: &DecodedBatch,
-        registry: &ObjectRegistry,
-    ) {
-        assert!(
-            batch.columns.contains(Self::COLUMNS),
-            "fine pass needs {:?}, batch decoded {:?}",
-            Self::COLUMNS,
-            batch.columns
-        );
-        let types = self
-            .type_maps
-            .entry(info.kernel_name.clone())
-            .or_insert_with(|| infer_access_types(&info.instr_table))
-            .clone();
-        let count = batch.count;
-        // Every demanded column proved it holds exactly `count` values,
-        // so the column walk below runs without bounds checks.
-        let pcs = &batch.pcs[..count];
-        let addrs = &batch.addrs[..count];
-        let bits = &batch.bits[..count];
-        let sizes = &batch.sizes[..count];
-        let flags = &batch.flags[..count];
-        let blocks = &batch.blocks[..count];
-        let mut groups: BTreeMap<(ObjectKey, Direction), Vec<GroupedAccess>> = BTreeMap::new();
-        for i in 0..count {
-            if !self.block_sampler.keep(blocks[i]) {
-                self.traffic.records_skipped += 1;
-                continue;
-            }
-            let f = flags[i];
-            let space = if f & FLAG_SHARED != 0 { MemSpace::Shared } else { MemSpace::Global };
-            let Some(key) = registry.key_for(space, addrs[i]) else {
-                continue; // not attributable to a live object
-            };
-            self.traffic.records_analyzed += 1;
-            let value = types.decode(pcs[i], bits[i], sizes[i]);
-            let dir = if f & FLAG_STORE != 0 { Direction::Store } else { Direction::Load };
-            groups.entry((key, dir)).or_default().push((addrs[i], value, pcs[i]));
         }
         for ((key, dir), accesses) in groups {
             self.current
@@ -256,15 +182,8 @@ impl FineState {
         }
     }
 
-    /// Findings merged by `(kernel, context, object, direction)`, summing
-    /// access counts and keeping each pattern's strongest hit — the
-    /// per-GPU-API view the paper reports.
-    pub fn merged_findings(&self) -> Vec<FineFinding> {
-        merge_findings(&self.findings)
-    }
-
     /// Findings paired with the object key they were accumulated under,
-    /// for the sharded pipeline's deterministic reduction.
+    /// for the engine's deterministic reduction.
     pub(crate) fn tagged_findings(&self) -> Vec<(ObjectKey, FineFinding)> {
         self.finding_keys.iter().copied().zip(self.findings.iter().cloned()).collect()
     }
@@ -437,65 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn decoded_batch_path_matches_row_path() {
-        // A mixed batch — loads and stores, shared and global space,
-        // blocks that sampling drops — must accumulate the exact same
-        // findings and traffic through the column-at-a-time surface as
-        // through the row iterator.
-        let build_table = || {
-            InstrTableBuilder::new()
-                .store(Pc(0), ScalarType::F32, MemSpace::Global)
-                .load(Pc(1), ScalarType::U32, MemSpace::Global)
-                .store(Pc(2), ScalarType::U32, MemSpace::Shared)
-                .build()
-        };
-        let reg = registry_with(256, 4096, "o");
-        let records: Vec<AccessRecord> = (0..96u64)
-            .map(|i| AccessRecord {
-                pc: Pc((i % 3) as u32),
-                addr: 256 + (i % 24) * 8,
-                bits: if i.is_multiple_of(4) { 0 } else { (1.5f32).to_bits() as u64 },
-                size: 4,
-                is_store: !i.is_multiple_of(3),
-                space: if i % 3 == 2 { MemSpace::Shared } else { MemSpace::Global },
-                block: (i % 5) as u32,
-                thread: (i % 32) as u32,
-                is_atomic: false,
-            })
-            .collect();
-
-        let mut rows = FineState::new(PatternConfig::default(), BlockSampler::new(2));
-        let info = launch_info("k", build_table());
-        rows.on_batch(&info, &records, &reg);
-        rows.on_launch_complete(&info, &reg);
-
-        let mut cols = FineState::new(PatternConfig::default(), BlockSampler::new(2));
-        let info = launch_info("k", build_table());
-        let batch = DecodedBatch::from_records(&records);
-        assert!(batch.columns.contains(FineState::COLUMNS));
-        cols.on_decoded_batch(&info, &batch, &reg);
-        cols.on_launch_complete(&info, &reg);
-
-        assert_eq!(rows.traffic(), cols.traffic());
-        assert_eq!(format!("{:?}", rows.findings()), format!("{:?}", cols.findings()));
-        assert!(!rows.findings().is_empty(), "fixture produces findings");
-    }
-
-    #[test]
-    #[should_panic(expected = "fine pass needs")]
-    fn decoded_batch_rejects_missing_columns() {
-        let reg = registry_with(256, 4096, "o");
-        let info = launch_info(
-            "k",
-            InstrTableBuilder::new().store(Pc(0), ScalarType::U32, MemSpace::Global).build(),
-        );
-        let mut fine = FineState::new(PatternConfig::default(), BlockSampler::default());
-        let mut batch = DecodedBatch::from_records(&[store_rec(0, 256, 1, 4, 0)]);
-        batch.columns = ColumnSet::ADDR; // pretend only addresses were decoded
-        fine.on_decoded_batch(&info, &batch, &reg);
-    }
-
-    #[test]
     fn merged_findings_aggregate_launches() {
         let table =
             InstrTableBuilder::new().store(Pc(0), ScalarType::U32, MemSpace::Global).build();
@@ -516,7 +376,7 @@ mod tests {
         }
         let _ = table;
         assert_eq!(fine.findings().len(), 3);
-        let merged = fine.merged_findings();
+        let merged = merge_findings(fine.findings());
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].accesses, 24);
     }

@@ -18,7 +18,7 @@
 //! * the **value flow graph** with vertex-slice and important-graph
 //!   analyses and DOT export ([`flowgraph`]),
 //! * the §6 performance machinery: the **data-parallel interval merge**
-//!   ([`interval`]), **adaptive snapshot copy strategies**
+//!   ([`vex_trace::interval`]), **adaptive snapshot copy strategies**
 //!   ([`copy_strategy`]), and **kernel filtering / hierarchical
 //!   sampling** ([`sampling`]),
 //! * a **sharded, off-critical-path analysis engine** that runs both
@@ -59,7 +59,6 @@ pub mod copy_strategy;
 pub mod diff;
 pub mod fine;
 pub mod flowgraph;
-pub mod interval;
 pub mod overhead;
 pub mod patterns;
 pub(crate) mod pipeline;
@@ -81,7 +80,6 @@ pub mod prelude {
     };
     pub use crate::fine::{Direction, FineFinding};
     pub use crate::flowgraph::{AccessKind, FlowGraph, VertexId, VertexKind};
-    pub use crate::interval::Interval;
     pub use crate::overhead::{OverheadModel, OverheadReport};
     pub use crate::patterns::{PatternConfig, PatternHit, ValuePattern};
     pub use crate::profiler::{ProfilerBuilder, Recording, ReplayError, ValueExpert};
@@ -89,4 +87,5 @@ pub mod prelude {
     pub use crate::report::Profile;
     pub use crate::reuse::{ReuseAnalyzer, ReuseHistogram};
     pub use crate::sampling::{BlockSampler, HierarchicalSampler, KernelNameFilter};
+    pub use vex_trace::interval::Interval;
 }

@@ -8,12 +8,13 @@
 //! value flow graph, and the report machinery in [`crate::report`] stands
 //! in for the GUI.
 //!
-//! Both analysis engines are [`EventSink`]s over the same stream: the
-//! synchronous engine ([`SyncEngine`], zero shards) and the sharded
-//! pipeline (`crate::pipeline`, [`ProfilerBuilder::analysis_shards`]).
-//! Because the stream is also what `vex_trace::container` persists, a
-//! session can be recorded ([`ProfilerBuilder::record`]) and replayed
-//! later ([`ProfilerBuilder::replay`]) through either engine with
+//! The analysis engine (`crate::pipeline`) is an [`EventSink`] over that
+//! stream: its pass bodies run inline on the publishing thread at zero
+//! shards and on worker threads otherwise
+//! ([`ProfilerBuilder::analysis_shards`]). Because the stream is also
+//! what `vex_trace::container` persists, a session can be recorded
+//! ([`ProfilerBuilder::record`]) and replayed later
+//! ([`ProfilerBuilder::replay`]) under any shard count with
 //! byte-identical reports.
 //!
 //! ```rust
@@ -29,43 +30,53 @@
 //! # Ok(()) }
 //! ```
 
-use crate::coarse::{
-    CaptureGap, CoarseState, CoarseTraffic, DuplicateFinding, KernelIntervals,
-    RedundancyFinding,
-};
-use crate::copy_strategy::{AdaptivePolicy, ObjectCopyPlan};
-use crate::fine::{FineFinding, FineState, FineTraffic};
-use crate::flowgraph::FlowGraph;
+use crate::coarse::CaptureGap;
+use crate::copy_strategy::AdaptivePolicy;
 use crate::overhead::{OverheadModel, OverheadReport};
 use crate::patterns::PatternConfig;
-use crate::pipeline::{Pipeline, PipelineSink, PipelineSpec};
-use crate::races::{RaceDetector, RaceReport};
-use crate::registry::ObjectRegistry;
+use crate::pipeline::{Engine, EngineProducts, PipelineSpec};
 use crate::report::Profile;
-use crate::reuse::{ReuseAnalyzer, ReuseHistogram};
-use crate::sampling::{BlockSampler, HierarchicalSampler, KernelNameFilter};
-use parking_lot::Mutex;
+use crate::sampling::{HierarchicalSampler, KernelNameFilter};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::sync::Arc;
 use vex_gpu::callpath::CallPathId;
-use vex_gpu::hooks::ApiKind;
-use vex_gpu::ir::MemSpace;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
 use vex_trace::codec::DecodeError;
 use vex_trace::container::{
     DecodeOptions, RecordedTrace, TraceFlags, TraceReader, TraceWriter,
 };
-use vex_trace::event::{
-    AnalysisPass, ColumnSet, Event, EventSink, EventSource, EventSourceConfig,
-};
+use vex_trace::event::{ColumnSet, EventSink, EventSource, EventSourceConfig};
 use vex_trace::{CollectorStats, LaunchFilter};
 
-/// A spawned analysis engine: the sink fed to the [`EventSource`] plus
-/// whichever concrete engine backs it (exactly one is `Some`).
-type Engine = (Arc<dyn EventSink>, Option<Arc<SyncEngine>>, Option<Arc<Pipeline>>);
+/// The most analysis shards a session may ask for through
+/// [`check_analysis_params`]; each shard is a thread.
+pub const MAX_ANALYSIS_SHARDS: usize = 64;
+
+/// Checks analysis parameters that arrive from outside the program — a
+/// command line or a query string — before they reach
+/// [`ProfilerBuilder::reuse_distance`] and
+/// [`ProfilerBuilder::analysis_shards`], which do not validate them: a
+/// reuse line size must be a nonzero power of two, and `shards` at most
+/// [`MAX_ANALYSIS_SHARDS`].
+///
+/// # Errors
+///
+/// A message naming the offending value.
+pub fn check_analysis_params(
+    reuse_line_bytes: Option<u64>,
+    shards: usize,
+) -> Result<(), String> {
+    if let Some(line) = reuse_line_bytes.filter(|l| !l.is_power_of_two()) {
+        return Err(format!("reuse line size must be a nonzero power of two, got {line}"));
+    }
+    if shards > MAX_ANALYSIS_SHARDS {
+        return Err(format!("at most {MAX_ANALYSIS_SHARDS} analysis shards, got {shards}"));
+    }
+    Ok(())
+}
 
 /// What a replay needs once its events are dispatched: the recording's
 /// call-path contexts, collector counters, and application time (µs).
@@ -88,7 +99,6 @@ pub struct ProfilerBuilder {
     warp_compaction: bool,
     analysis_shards: usize,
     analysis_queue_depth: usize,
-    decode_threads: usize,
 }
 
 impl Default for ProfilerBuilder {
@@ -108,7 +118,6 @@ impl Default for ProfilerBuilder {
             warp_compaction: true,
             analysis_shards: 0,
             analysis_queue_depth: 64,
-            decode_threads: 1,
         }
     }
 }
@@ -189,7 +198,9 @@ impl ProfilerBuilder {
     ///
     /// # Panics
     ///
-    /// `attach` panics if `line_bytes` is not a power of two.
+    /// `attach` panics if `line_bytes` is not a power of two; check a
+    /// line size that comes from outside the program with
+    /// [`check_analysis_params`].
     #[must_use]
     pub fn reuse_distance(mut self, line_bytes: u64) -> Self {
         self.reuse_line_bytes = Some(line_bytes);
@@ -218,9 +229,11 @@ impl ProfilerBuilder {
     /// analysis workers (work partitioned by data object, so per-object
     /// state never crosses shards), plus a router, a sequential
     /// reuse/race worker, and a coarse replay worker as the enabled
-    /// passes require. `0` — the default — keeps the fully synchronous
-    /// engine. Reports are **byte-identical** for every shard count; see
-    /// [`crate::pipeline`] for the determinism argument.
+    /// passes require. `0` — the default — runs the same pass bodies
+    /// inline on the publishing thread. Reports are **byte-identical**
+    /// for every shard count; see [`crate::pipeline`] for the determinism
+    /// argument. Each shard is a thread: check a shard count that comes
+    /// from outside the program with [`check_analysis_params`].
     #[must_use]
     pub fn analysis_shards(mut self, shards: usize) -> Self {
         self.analysis_shards = shards;
@@ -236,24 +249,27 @@ impl ProfilerBuilder {
         self
     }
 
-    /// Worker threads for decoding a recorded trace's columnar batch
-    /// frames before replay. Values ≤ 1 decode on the calling thread.
-    /// Only consulted through [`ProfilerBuilder::decode_options`]:
-    /// [`ProfilerBuilder::replay`] takes an already-decoded trace, and
-    /// [`ProfilerBuilder::replay_reader`] decodes each frame inline.
-    #[must_use]
-    pub fn decode_threads(mut self, threads: usize) -> Self {
-        self.decode_threads = threads.max(1);
-        self
-    }
-
     /// Columns of the fine record stream the configured passes read —
     /// what a projected trace decode must materialize so this builder's
     /// replay stays byte-identical to a full decode. Coarse-only
     /// configurations demand no batch columns at all.
     pub fn required_columns(&self) -> ColumnSet {
+        self.pipeline_spec().required_columns()
+    }
+
+    /// The [`DecodeOptions`] this builder implies for reading a trace it
+    /// will replay: its per-pass column projection, decoded on the
+    /// calling thread.
+    pub fn decode_options(&self) -> DecodeOptions {
+        DecodeOptions { threads: 1, columns: self.required_columns() }
+    }
+
+    /// The analysis engine this configuration describes (`shards: 0`
+    /// runs the passes inline). Reuse distance and race detection ride
+    /// on the fine pass.
+    fn pipeline_spec(&self) -> PipelineSpec {
         PipelineSpec {
-            shards: self.analysis_shards.max(1),
+            shards: self.analysis_shards,
             queue_depth: self.analysis_queue_depth,
             coarse: self.coarse,
             fine: self.fine,
@@ -262,14 +278,6 @@ impl ProfilerBuilder {
             reuse_line_bytes: self.reuse_line_bytes.filter(|_| self.fine),
             races: self.race_detection && self.fine,
         }
-        .required_columns()
-    }
-
-    /// The [`DecodeOptions`] this builder implies for reading a trace it
-    /// will replay: its decode thread count and its per-pass column
-    /// projection.
-    pub fn decode_options(&self) -> DecodeOptions {
-        DecodeOptions { threads: self.decode_threads, columns: self.required_columns() }
     }
 
     /// The collector configuration this builder implies. The API stream
@@ -297,50 +305,15 @@ impl ProfilerBuilder {
         }
     }
 
-    /// Builds the analysis engine for this configuration: either the
-    /// synchronous [`SyncEngine`] or the sharded pipeline, both plain
-    /// [`EventSink`]s over the canonical stream.
-    fn spawn_engine(&self) -> Engine {
-        if self.analysis_shards > 0 {
-            let pipeline = Pipeline::spawn(&PipelineSpec {
-                shards: self.analysis_shards,
-                queue_depth: self.analysis_queue_depth,
-                coarse: self.coarse,
-                fine: self.fine,
-                pattern: self.pattern,
-                policy: self.copy_policy,
-                reuse_line_bytes: self.reuse_line_bytes.filter(|_| self.fine),
-                races: self.race_detection && self.fine,
-            });
-            (Arc::new(PipelineSink::new(pipeline.clone())), None, Some(pipeline))
-        } else {
-            let sync = Arc::new(SyncEngine {
-                inner: Mutex::new(Inner {
-                    registry: ObjectRegistry::new(),
-                    coarse: self
-                        .coarse
-                        .then(|| CoarseState::new(self.pattern, self.copy_policy)),
-                    // Block sampling is applied at collection (in the
-                    // EventSource), so the analyzer sees every record it
-                    // gets.
-                    fine: self.fine.then(|| FineState::new(self.pattern, BlockSampler::new(1))),
-                    reuse: self.reuse_line_bytes.filter(|_| self.fine).map(ReuseAnalyzer::new),
-                    races: (self.race_detection && self.fine).then(RaceDetector::new),
-                }),
-            });
-            (sync.clone(), Some(sync), None)
-        }
-    }
-
     /// Attaches the profiler to a runtime and returns the session handle.
     pub fn attach(self, rt: &mut Runtime) -> ValueExpert {
-        let (sink, sync, pipeline) = self.spawn_engine();
-        let source = EventSource::attach(rt, self.source_config(), self.launch_filter(), sink);
+        let engine = Arc::new(Engine::spawn(&self.pipeline_spec()));
+        let source =
+            EventSource::attach(rt, self.source_config(), self.launch_filter(), engine.clone());
         ValueExpert {
             overhead: self.overhead,
             pattern: self.pattern,
-            sync,
-            pipeline,
+            engine,
             source: Some(source),
         }
     }
@@ -368,7 +341,7 @@ impl ProfilerBuilder {
     }
 
     /// Replays a recorded trace through the analysis engine this builder
-    /// configures (synchronous or sharded) and assembles the profile with
+    /// configures (inline or sharded) and assembles the profile with
     /// the recording session's device preset, application time, and call
     /// paths — byte-identical to the report a live session with this
     /// configuration would have produced.
@@ -433,21 +406,19 @@ impl ProfilerBuilder {
         if self.fine && !flags.fine {
             return Err(ReplayError::FineNotRecorded);
         }
-        let (sink, sync, pipeline) = self.spawn_engine();
         let vex = ValueExpert {
             overhead: self.overhead,
             pattern: self.pattern,
-            sync,
-            pipeline,
+            engine: Arc::new(Engine::spawn(&self.pipeline_spec())),
             source: None,
         };
-        // On error `vex` drops here, which stops any pipeline workers.
-        let (contexts, stats, app_us) = feed(&*sink).map_err(ReplayError::Decode)?;
+        // On error `vex` drops here, which stops any engine workers.
+        let (contexts, stats, app_us) = feed(&*vex.engine).map_err(ReplayError::Decode)?;
         // A live coarse-only session reports zero collector traffic; only
         // fine replays surface the recorded counters.
         let stats = if self.fine { stats } else { CollectorStats::default() };
-        let products = vex.products();
-        if let Some(gap) = products.capture_gap {
+        let products = vex.engine.products();
+        if let Some(gap) = products.coarse.gap {
             return Err(ReplayError::CaptureGap(gap));
         }
         Ok(vex.assemble(products, stats, spec, app_us, |id| {
@@ -528,8 +499,7 @@ impl<W: std::io::Write + Send + 'static> Recording<W> {
     ///
     /// # Panics
     ///
-    /// Panics if the trace writer is still shared (e.g. it was also
-    /// registered with a fan-out sink that outlives the recording).
+    /// Panics if the trace writer is still shared.
     pub fn finish(self, rt: &mut Runtime) -> Result<W, DecodeError> {
         rt.clear_hooks();
         let Recording { writer, source } = self;
@@ -550,128 +520,11 @@ impl<W: std::io::Write + Send + 'static> Recording<W> {
     }
 }
 
-/// Per-pass analyzer state of the synchronous engine.
-struct Inner {
-    registry: ObjectRegistry,
-    coarse: Option<CoarseState>,
-    fine: Option<FineState>,
-    reuse: Option<ReuseAnalyzer>,
-    races: Option<RaceDetector>,
-}
-
-/// The synchronous analysis engine: one [`EventSink`] running every
-/// enabled pass inline, in stream order. The coarse pass analyzes the
-/// capture snapshots carried by [`Event::Api`] — the same deferred-replay
-/// inputs the pipelined engine and a trace replay consume, which is what
-/// makes the three modes byte-identical.
-struct SyncEngine {
-    inner: Mutex<Inner>,
-}
-
-impl EventSink for SyncEngine {
-    fn on_event(&self, event: &Event) {
-        match event {
-            Event::Api { event, kernel, captured } => {
-                let mut inner = self.inner.lock();
-                let inner = &mut *inner;
-                if let ApiKind::Malloc { info } = &event.kind {
-                    inner.registry.on_alloc(info);
-                }
-                if let Some(coarse) = &mut inner.coarse {
-                    if let Some(summary) = kernel {
-                        let mut k = KernelIntervals::new(false);
-                        k.reads = summary.reads.clone();
-                        k.writes = summary.writes.clone();
-                        k.raw = summary.raw;
-                        coarse.current_kernel = Some(k);
-                    }
-                    coarse.on_api_after(event, &inner.registry, captured.as_ref());
-                }
-                if let ApiKind::Free { info } = &event.kind {
-                    inner.registry.on_free(info);
-                }
-            }
-            Event::Batch { info, records } => {
-                let mut inner = self.inner.lock();
-                let inner = &mut *inner;
-                if let Some(fine) = &mut inner.fine {
-                    fine.on_batch(info, records, &inner.registry);
-                }
-                if let Some(reuse) = &mut inner.reuse {
-                    for rec in records.iter() {
-                        if rec.space == MemSpace::Global {
-                            reuse.record(rec);
-                        }
-                    }
-                }
-                if let Some(races) = &mut inner.races {
-                    races.ensure_launch(info);
-                    for rec in records.iter() {
-                        races.record(rec);
-                    }
-                }
-            }
-            Event::LaunchEnd { info } => {
-                let mut inner = self.inner.lock();
-                let inner = &mut *inner;
-                if let Some(fine) = &mut inner.fine {
-                    fine.on_launch_complete(info, &inner.registry);
-                }
-                if let Some(races) = &mut inner.races {
-                    races.on_launch_end();
-                }
-            }
-            Event::LaunchBegin { .. } | Event::SkippedLaunch { .. } => {}
-        }
-    }
-}
-
-impl AnalysisPass for SyncEngine {
-    fn name(&self) -> &'static str {
-        "valueexpert"
-    }
-
-    fn columns(&self) -> ColumnSet {
-        let inner = self.inner.lock();
-        let mut cols = ColumnSet::NONE;
-        if inner.fine.is_some() {
-            cols |= ColumnSet::PC
-                | ColumnSet::ADDR
-                | ColumnSet::BITS
-                | ColumnSet::SIZE
-                | ColumnSet::FLAGS
-                | ColumnSet::BLOCK;
-        }
-        if inner.reuse.is_some() {
-            cols |= ColumnSet::ADDR | ColumnSet::FLAGS;
-        }
-        if inner.races.is_some() {
-            cols |= ColumnSet::PC | ColumnSet::ADDR | ColumnSet::FLAGS | ColumnSet::BLOCK;
-        }
-        cols
-    }
-}
-
-/// Everything an engine produced, gathered for report assembly.
-struct EngineProducts {
-    flow: FlowGraph,
-    redundancies: Vec<RedundancyFinding>,
-    duplicates: Vec<DuplicateFinding>,
-    copy_plans: Vec<ObjectCopyPlan>,
-    coarse_traffic: CoarseTraffic,
-    capture_gap: Option<CaptureGap>,
-    fine_findings: Vec<FineFinding>,
-    fine_traffic: FineTraffic,
-    reuse: Option<ReuseHistogram>,
-    races: Vec<RaceReport>,
-}
-
 /// A live profiling session attached to a runtime.
 pub struct ValueExpert {
     overhead: OverheadModel,
     pattern: PatternConfig,
-    sync: Option<Arc<SyncEngine>>,
-    pipeline: Option<Arc<Pipeline>>,
+    engine: Arc<Engine>,
     source: Option<Arc<EventSource>>,
 }
 
@@ -679,7 +532,7 @@ impl std::fmt::Debug for ValueExpert {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ValueExpert")
             .field("live", &self.source.is_some())
-            .field("pipelined", &self.pipeline.is_some())
+            .field("pipelined", &matches!(*self.engine, Engine::Sharded(_)))
             .finish()
     }
 }
@@ -688,9 +541,7 @@ impl Drop for ValueExpert {
     fn drop(&mut self) {
         // Stop and join the analysis workers even when the session ends
         // without a report.
-        if let Some(p) = &self.pipeline {
-            p.shutdown();
-        }
+        self.engine.shutdown();
     }
 }
 
@@ -712,11 +563,11 @@ impl ValueExpert {
     /// the synchronization point: it blocks until every published record
     /// batch and API event is analyzed, then reduces the per-shard state
     /// deterministically. The resulting profile is byte-identical to the
-    /// synchronous engine's.
+    /// inline engine's.
     pub fn report(&self, rt: &Runtime) -> Profile {
-        let products = self.products();
+        let products = self.engine.products();
         // A live session captures every range the coarse pass reads.
-        assert_eq!(products.capture_gap, None, "live capture missed a range");
+        assert_eq!(products.coarse.gap, None, "live capture missed a range");
         let cp = rt.callpaths();
         self.assemble(
             products,
@@ -727,95 +578,21 @@ impl ValueExpert {
         )
     }
 
-    /// Gathers the engine's products (flushing the pipeline when sharded).
-    fn products(&self) -> EngineProducts {
-        if let Some(p) = &self.pipeline {
-            let products = p.flush();
-            let (flow, redundancies, duplicates, copy_plans, coarse_traffic, capture_gap) =
-                match products.coarse {
-                    Some(c) => {
-                        (c.flow, c.redundancies, c.duplicates, c.copy_plans, c.traffic, c.gap)
-                    }
-                    None => (
-                        FlowGraph::new(),
-                        Vec::new(),
-                        Vec::new(),
-                        Vec::new(),
-                        CoarseTraffic::default(),
-                        None,
-                    ),
-                };
-            let (fine_findings, fine_traffic) = match products.fine {
-                Some((raw, traffic)) => (crate::fine::merge_findings(&raw), traffic),
-                None => (Vec::new(), FineTraffic::default()),
-            };
-            return EngineProducts {
-                flow,
-                redundancies,
-                duplicates,
-                copy_plans,
-                coarse_traffic,
-                capture_gap,
-                fine_findings,
-                fine_traffic,
-                reuse: products.reuse,
-                races: products.races,
-            };
-        }
-
-        let inner = self.sync.as_ref().expect("one engine is always built").inner.lock();
-        let (flow, redundancies, duplicates, copy_plans, coarse_traffic, capture_gap) =
-            match &inner.coarse {
-                Some(c) => (
-                    c.flow_graph().clone(),
-                    c.redundancies().to_vec(),
-                    c.duplicates().to_vec(),
-                    c.copy_plans(),
-                    c.traffic(),
-                    c.capture_gap(),
-                ),
-                None => (
-                    FlowGraph::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    CoarseTraffic::default(),
-                    None,
-                ),
-            };
-        let (fine_findings, fine_traffic) = match &inner.fine {
-            Some(f) => (f.merged_findings(), f.traffic()),
-            None => (Vec::new(), FineTraffic::default()),
-        };
-        EngineProducts {
-            flow,
-            redundancies,
-            duplicates,
-            copy_plans,
-            coarse_traffic,
-            capture_gap,
-            fine_findings,
-            fine_traffic,
-            reuse: inner.reuse.as_ref().map(|r| r.histogram().clone()),
-            races: inner.races.as_ref().map(|r| r.reports().to_vec()).unwrap_or_default(),
-        }
-    }
-
     /// Shared tail of live reporting and trace replay: overhead model,
     /// context rendering, and profile assembly. Keeping one
     /// implementation for every mode guarantees the report layouts cannot
     /// diverge.
     fn assemble(
         &self,
-        products: EngineProducts,
+        EngineProducts { coarse, fine_findings, fine_traffic, reuse, races }: EngineProducts,
         collector_stats: CollectorStats,
         spec: &DeviceSpec,
         app_us: f64,
         mut render: impl FnMut(CallPathId) -> String,
     ) -> Profile {
         let overhead = OverheadReport {
-            fine_us: self.overhead.fine_cost_us(&collector_stats, &products.fine_traffic, spec),
-            coarse_us: self.overhead.coarse_cost_us(&products.coarse_traffic, spec),
+            fine_us: self.overhead.fine_cost_us(&collector_stats, &fine_traffic, spec),
+            coarse_us: self.overhead.coarse_cost_us(&coarse.traffic, spec),
             app_us,
         };
         let contexts = {
@@ -823,28 +600,28 @@ impl ValueExpert {
             let mut record = |id: CallPathId| {
                 map.entry(id).or_insert_with(|| render(id));
             };
-            for r in &products.redundancies {
+            for r in &coarse.redundancies {
                 record(r.context);
             }
-            for f in &products.fine_findings {
+            for f in &fine_findings {
                 record(f.context);
             }
-            for v in products.flow.vertices() {
+            for v in coarse.flow.vertices() {
                 record(v.context);
             }
             map
         };
         Profile {
             device: spec.name.clone(),
-            flow_graph: products.flow,
-            redundancies: products.redundancies,
-            duplicates: products.duplicates,
-            copy_plans: products.copy_plans,
-            fine_findings: products.fine_findings,
-            reuse: products.reuse,
-            races: products.races,
-            coarse_traffic: products.coarse_traffic,
-            fine_traffic: products.fine_traffic,
+            flow_graph: coarse.flow,
+            redundancies: coarse.redundancies,
+            duplicates: coarse.duplicates,
+            copy_plans: coarse.copy_plans,
+            fine_findings,
+            reuse,
+            races,
+            coarse_traffic: coarse.traffic,
+            fine_traffic,
             collector_stats,
             overhead,
             contexts,

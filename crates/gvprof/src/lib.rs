@@ -32,9 +32,7 @@ use std::sync::Arc;
 use vex_gpu::hooks::LaunchInfo;
 use vex_gpu::runtime::Runtime;
 use vex_trace::container::RecordedTrace;
-use vex_trace::event::{
-    AnalysisPass, ColumnSet, Event, EventSink, EventSource, EventSourceConfig,
-};
+use vex_trace::event::{ColumnSet, Event, EventSink, EventSource, EventSourceConfig};
 use vex_trace::{AcceptAll, AccessRecord, CollectorStats};
 
 /// Per-kernel redundancy metrics, GVProf's unit of reporting.
@@ -235,16 +233,6 @@ impl EventSink for GvProf {
             Event::LaunchEnd { info } => self.on_launch_complete(info),
             _ => {}
         }
-    }
-}
-
-impl AnalysisPass for GvProf {
-    fn name(&self) -> &'static str {
-        "gvprof"
-    }
-
-    fn columns(&self) -> ColumnSet {
-        REPLAY_COLUMNS
     }
 }
 

@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vex_core::diff::{diff_profiles, DiffOptions};
+use vex_core::profiler::check_analysis_params;
 
 /// Tunables of a serving process.
 #[derive(Debug, Clone)]
@@ -530,6 +531,7 @@ fn parse_report_params(
     if !p.coarse && !p.fine {
         return Err("at least one of coarse/fine must stay enabled".into());
     }
+    check_analysis_params(p.reuse, p.shards)?;
     Ok(p)
 }
 

@@ -715,9 +715,8 @@ struct WriterState<W: Write> {
 /// Streams the canonical event stream into a `.vex` container.
 ///
 /// Implements [`EventSink`], so it plugs into an
-/// [`crate::event::EventSource`] directly (or side-by-side with a live
-/// analysis through [`crate::event::FanoutSink`]). I/O errors during
-/// streaming are latched and reported by [`TraceWriter::finish`].
+/// [`crate::event::EventSource`] directly. I/O errors during streaming
+/// are latched and reported by [`TraceWriter::finish`].
 pub struct TraceWriter<W: Write> {
     state: Mutex<WriterState<W>>,
     version: FormatVersion,
@@ -1511,7 +1510,8 @@ pub struct DecodeOptions {
     /// Columns to materialize from each batch; undemanded columns come
     /// back zero-filled in the [`Event::Batch`] records. Projection
     /// preserves report byte-identity for any consumer that only reads
-    /// its declared columns (`AnalysisPass::columns`).
+    /// the columns it declares (`ProfilerBuilder::required_columns`,
+    /// `vex_gvprof::REPLAY_COLUMNS`).
     pub columns: ColumnSet,
 }
 

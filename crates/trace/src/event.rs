@@ -196,44 +196,6 @@ pub trait EventSink: Send + Sync {
     fn on_event(&self, event: &Event);
 }
 
-/// An [`EventSink`] that is a complete analysis (as opposed to plumbing
-/// like the fan-out or the trace writer): ValueExpert's engines, GVProf.
-pub trait AnalysisPass: EventSink {
-    /// Human-readable pass name, for diagnostics and replay banners.
-    fn name(&self) -> &'static str;
-
-    /// Columns of the fine-grained record stream this pass reads from
-    /// [`Event::Batch`]. A projected decode
-    /// ([`crate::container::DecodeOptions`]) zero-fills every other
-    /// field, so a pass that reads only its declared columns produces
-    /// byte-identical results under any covering projection. The
-    /// default is full fidelity.
-    fn columns(&self) -> ColumnSet {
-        ColumnSet::ALL
-    }
-}
-
-/// Broadcasts each event to several sinks, in registration order.
-/// Lets one live run feed an analysis *and* the trace recorder.
-pub struct FanoutSink {
-    sinks: Vec<Arc<dyn EventSink>>,
-}
-
-impl FanoutSink {
-    /// Creates a fan-out over `sinks`.
-    pub fn new(sinks: Vec<Arc<dyn EventSink>>) -> Self {
-        FanoutSink { sinks }
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn on_event(&self, event: &Event) {
-        for sink in &self.sinks {
-            sink.on_event(event);
-        }
-    }
-}
-
 /// What the [`EventSource`] collects and publishes.
 #[derive(Debug, Clone)]
 pub struct EventSourceConfig {
@@ -630,22 +592,5 @@ mod tests {
             panic!("coarse summary expected even for fine-skipped launches");
         };
         assert_eq!(summary.raw, 10);
-    }
-
-    #[test]
-    fn fanout_reaches_every_sink() {
-        let a = Arc::new(Recorder::new());
-        let b = Arc::new(Recorder::new());
-        let fan = FanoutSink::new(vec![a.clone(), b.clone()]);
-        let mut rt = Runtime::new(DeviceSpec::test_small());
-        EventSource::attach(
-            &mut rt,
-            EventSourceConfig::default(),
-            Arc::new(AcceptAll),
-            Arc::new(fan),
-        );
-        rt.malloc(32, "x").unwrap();
-        assert_eq!(a.tags(), vec!["api"]);
-        assert_eq!(b.tags(), vec!["api"]);
     }
 }

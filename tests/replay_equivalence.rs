@@ -16,7 +16,9 @@ use vex_core::profiler::ProfilerBuilder;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
 use vex_gvprof::GvProfSession;
-use vex_trace::container::{read_trace, read_trace_with, RecordedTrace, TraceReader};
+use vex_trace::container::{
+    read_trace, read_trace_with, DecodeOptions, RecordedTrace, TraceReader,
+};
 use vex_workloads::{all_apps, GpuApp, Variant};
 
 /// Every byte-comparable rendering of a profile.
@@ -91,7 +93,7 @@ fn assert_replay_equivalent(
 /// Records `app` once and checks that replaying from a *projected,
 /// parallel* decode — only the columns the configured passes declare,
 /// decoded on a worker pool — reproduces the full sequential decode's
-/// report byte-for-byte, under the synchronous engine and 1/8 pipeline
+/// report byte-for-byte, under the inline engine and 1/8 pipeline
 /// shards.
 fn assert_projected_replay_equivalent(
     app: &dyn GpuApp,
@@ -102,11 +104,11 @@ fn assert_projected_replay_equivalent(
     let full = read_trace(&bytes).unwrap_or_else(|e| panic!("{}: {e}", app.name()));
 
     for shards in [0usize, 1, 8] {
-        let make_sharded = || make_builder().analysis_shards(shards).decode_threads(8);
+        let make_sharded = || make_builder().analysis_shards(shards);
         let baseline = make_sharded()
             .replay(&full)
             .unwrap_or_else(|e| panic!("{}: full replay failed: {e}", app.name()));
-        let opts = make_sharded().decode_options();
+        let opts = DecodeOptions { threads: 8, ..make_sharded().decode_options() };
         let projected = read_trace_with(&bytes, &opts)
             .unwrap_or_else(|e| panic!("{}: projected decode failed: {e}", app.name()));
         let replayed = make_sharded()

@@ -8,7 +8,8 @@
 //! every response byte-for-byte against serially-fetched references,
 //! and that the report cache ends the run with a nonzero hit rate.
 //! Traces whose captures miss bytes, from disk or pushed by a client,
-//! get a 4xx and leave the server serving.
+//! and analysis parameters the engine cannot run get a 4xx and leave
+//! the server serving.
 
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -261,6 +262,55 @@ fn capture_gap_traces_get_a_4xx_and_the_server_keeps_serving() {
             }
             let (status, _) = http_get(addr, "/traces/good/report");
             assert_eq!(status, 200, "good report after {id}");
+        }
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Analysis parameters the engine cannot run — a reuse line size that
+/// is not a nonzero power of two, or a shard count past
+/// `MAX_ANALYSIS_SHARDS` — answer 400 on every endpoint that replays,
+/// instead of panicking a worker or aborting the process, and a good
+/// report still answers 200 right after each one.
+#[test]
+fn bad_analysis_params_get_a_400_and_the_server_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("vex-serve-params-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create trace dir");
+    let app = Qmcpack { walkers: 4, setup_elems: 64, steps: 1 };
+    let bytes = record_app(
+        &DeviceSpec::rtx2080ti(),
+        &app,
+        Variant::Baseline,
+        ValueExpert::builder().coarse(true).fine(true),
+    );
+    std::fs::write(dir.join("h.vex"), bytes).expect("write trace");
+    let cmd = parse_args([
+        "serve",
+        dir.to_str().expect("utf8 dir"),
+        "--addr",
+        "127.0.0.1:0",
+        "--workers",
+        "2",
+    ])
+    .expect("serve command parses");
+    let Command::Serve(args) = cmd else { panic!("parsed {cmd:?}") };
+    let server = start_server(&args).expect("server starts");
+    let addr = server.addr();
+
+    for (query, complaint) in [
+        ("fine=1&reuse=3", "power of two"),
+        ("fine=1&reuse=0", "power of two"),
+        ("fine=1&shards=1000000", "analysis shards"),
+    ] {
+        for endpoint in ["report", "flowgraph", "diff/h"] {
+            let target = format!("/traces/h/{endpoint}?{query}");
+            let (status, body) = http_get(addr, &target);
+            let body = String::from_utf8_lossy(&body);
+            assert_eq!(status, 400, "{target}: {body}");
+            assert!(body.contains(complaint), "{target}: {body}");
+            let (status, _) = http_get(addr, "/traces/h/report?fine=1&reuse=64&shards=2");
+            assert_eq!(status, 200, "good report after {target}");
         }
     }
     server.shutdown();
