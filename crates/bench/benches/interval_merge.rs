@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use vex_trace::interval::{
-    merge_parallel, merge_parallel_threaded, merge_sequential, warp_compact, Interval,
+    merge_parallel, merge_parallel_threaded, merge_sequential, Interval,
 };
 
 /// Coalesced layout: warps of adjacent 4-byte accesses (merges to few).
@@ -66,9 +66,12 @@ fn bench_warp_compact(c: &mut Criterion) {
     let mut group = c.benchmark_group("warp_compaction");
     // One warp's worth of coalesced accesses — the common fast path.
     let warp: Vec<Interval> = coalesced(32);
-    group.bench_function("coalesced_warp_32", |b| b.iter(|| warp_compact(black_box(&warp))));
+    group
+        .bench_function("coalesced_warp_32", |b| b.iter(|| merge_sequential(black_box(&warp))));
     let scattered: Vec<Interval> = strided(32);
-    group.bench_function("strided_warp_32", |b| b.iter(|| warp_compact(black_box(&scattered))));
+    group.bench_function("strided_warp_32", |b| {
+        b.iter(|| merge_sequential(black_box(&scattered)))
+    });
     group.finish();
 }
 

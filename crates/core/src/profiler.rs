@@ -831,4 +831,21 @@ mod tests {
             ValueExpert::builder().coarse(true).replay(&trace).expect("coarse replay");
         assert_eq!(profile.collector_stats, CollectorStats::default());
     }
+
+    #[test]
+    fn recording_dropped_unfinished_joins_its_encoder() {
+        // `vex record`'s "workload failed" path: the recording, then the
+        // runtime holding its source, go away without `finish`.
+        let mut rt = Runtime::new(DeviceSpec::test_small());
+        let rec = ValueExpert::builder()
+            .coarse(true)
+            .fine(true)
+            .record(&mut rt, Vec::new())
+            .expect("header written");
+        let out = rt.malloc(256, "out").unwrap();
+        rt.launch(&Fill { out: out.addr(), n: 64, v: 0.0 }, Dim3::linear(2), Dim3::linear(32))
+            .unwrap();
+        drop(rec);
+        drop(rt);
+    }
 }

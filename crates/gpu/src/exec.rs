@@ -5,8 +5,10 @@
 //! threads within a block in ascending flat-thread order. Every global or
 //! shared load/store funnels through [`ThreadCtx`], which performs the
 //! memory operation, updates the launch's work counters, and — when the
-//! launch is instrumented — emits an [`AccessEvent`] to every registered
-//! [`MemAccessHook`].
+//! launch is instrumented — appends an [`AccessEvent`] to the launch's
+//! access buffer. Every registered [`MemAccessHook`] receives that buffer
+//! as one slice whenever it holds [`ACCESS_SLICE`] events, and once more
+//! with the remainder when the launch's last block has run.
 
 use crate::dim::Dim3;
 use crate::hooks::{AccessEvent, LaunchId, MemAccessHook};
@@ -17,6 +19,11 @@ use crate::memory::GlobalMemory;
 use crate::timing::KernelWork;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+
+/// Accesses an instrumented launch buffers before handing them to the
+/// hooks as one slice: the simulator's stand-in for the device buffer the
+/// host drains in bulk.
+pub const ACCESS_SLICE: usize = 1024;
 
 /// Floating-point precision classes for work accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -154,6 +161,7 @@ pub struct BlockCtx<'a> {
     shared: Vec<u8>,
     hooks: &'a [Arc<dyn MemAccessHook>],
     instrument: bool,
+    accesses: &'a mut Vec<AccessEvent>,
     stats: &'a mut LaunchStats,
     launch: LaunchId,
     grid: Dim3,
@@ -200,6 +208,7 @@ impl BlockCtx<'_> {
                 shared: &mut self.shared,
                 hooks: self.hooks,
                 instrument: self.instrument,
+                accesses: self.accesses,
                 stats: self.stats,
                 launch: self.launch,
                 grid: self.grid,
@@ -218,6 +227,7 @@ pub struct ThreadCtx<'a> {
     shared: &'a mut Vec<u8>,
     hooks: &'a [Arc<dyn MemAccessHook>],
     instrument: bool,
+    accesses: &'a mut Vec<AccessEvent>,
     stats: &'a mut LaunchStats,
     launch: LaunchId,
     grid: Dim3,
@@ -297,7 +307,7 @@ impl ThreadCtx<'_> {
         if !self.instrument {
             return;
         }
-        let ev = AccessEvent {
+        self.accesses.push(AccessEvent {
             launch: self.launch,
             pc,
             space,
@@ -308,9 +318,9 @@ impl ThreadCtx<'_> {
             block: self.block_flat,
             thread: self.thread_flat,
             is_atomic,
-        };
-        for h in self.hooks {
-            h.on_access(&ev);
+        });
+        if self.accesses.len() == ACCESS_SLICE {
+            deliver(self.hooks, self.accesses);
         }
     }
 
@@ -442,8 +452,21 @@ impl ThreadCtx<'_> {
     }
 }
 
-/// Executes one launch over `memory`, firing `hooks` when `instrument` is
-/// true. Returns the accumulated work counters.
+/// Hands the buffered accesses to every hook as one slice and empties the
+/// buffer (keeping its allocation).
+fn deliver(hooks: &[Arc<dyn MemAccessHook>], accesses: &mut Vec<AccessEvent>) {
+    if accesses.is_empty() {
+        return;
+    }
+    for h in hooks {
+        h.on_accesses(accesses);
+    }
+    accesses.clear();
+}
+
+/// Executes one launch over `memory`, delivering its accesses to `hooks`
+/// in slices when `instrument` is true; the last slice arrives before
+/// this returns. Returns the accumulated work counters.
 ///
 /// This is the low-level entry point; applications normally go through
 /// [`crate::runtime::Runtime::launch`], which also handles API hooks,
@@ -458,6 +481,7 @@ pub fn run_launch(
     launch: LaunchId,
 ) -> LaunchStats {
     let mut stats = LaunchStats::default();
+    let mut accesses = Vec::with_capacity(if instrument { ACCESS_SLICE } else { 0 });
     let shared_bytes = kernel.shared_bytes();
     for b in 0..grid.count() {
         let mut blk = BlockCtx {
@@ -465,6 +489,7 @@ pub fn run_launch(
             shared: vec![0u8; shared_bytes as usize],
             hooks,
             instrument,
+            accesses: &mut accesses,
             stats: &mut stats,
             launch,
             grid,
@@ -473,6 +498,7 @@ pub fn run_launch(
         };
         kernel.execute_block(&mut blk);
     }
+    deliver(hooks, &mut accesses);
     stats.threads = (grid.count() * block.count()) as u64;
     stats
 }
@@ -481,12 +507,14 @@ pub fn run_launch(
 mod tests {
     use super::*;
     use crate::ir::{InstrTable, InstrTableBuilder};
+    use crate::runtime::Runtime;
+    use crate::timing::DeviceSpec;
     use parking_lot::Mutex;
 
     struct Recorder(Mutex<Vec<AccessEvent>>);
     impl MemAccessHook for Recorder {
-        fn on_access(&self, event: &AccessEvent) {
-            self.0.lock().push(*event);
+        fn on_accesses(&self, events: &[AccessEvent]) {
+            self.0.lock().extend_from_slice(events);
         }
     }
 
@@ -667,5 +695,159 @@ mod tests {
         assert_eq!(<u8 as DeviceScalar>::from_bits(300u64 & 0xFF) as u32, 44);
         assert_eq!((-1i8).to_bits(), 0xFF);
         assert_eq!((-1i16).to_bits(), 0xFFFF);
+    }
+
+    /// A block-phased kernel that logs, as its threads run, the access
+    /// events they must produce: phase 1 stores shared and loads global,
+    /// phase 2 (after `__syncthreads`) loads shared, stores global and
+    /// adds atomically at pc 4 — six events per thread.
+    struct Phased {
+        base: u64,
+        log: Mutex<Vec<AccessEvent>>,
+    }
+
+    impl Phased {
+        fn log(
+            &self,
+            ctx: &ThreadCtx<'_>,
+            pc: u32,
+            space: MemSpace,
+            addr: u64,
+            store: bool,
+            bits: u64,
+        ) {
+            self.log.lock().push(AccessEvent {
+                launch: ctx.launch,
+                pc: Pc(pc),
+                space,
+                addr,
+                size: 4,
+                is_store: store,
+                bits,
+                block: ctx.block_flat(),
+                thread: ctx.thread_flat(),
+                is_atomic: pc == 4,
+            });
+        }
+    }
+
+    impl Kernel for Phased {
+        fn name(&self) -> &str {
+            "phased"
+        }
+        fn instr_table(&self) -> InstrTable {
+            InstrTableBuilder::new()
+                .store(Pc(0), ScalarType::U32, MemSpace::Shared)
+                .load(Pc(1), ScalarType::U32, MemSpace::Global)
+                .load(Pc(2), ScalarType::U32, MemSpace::Shared)
+                .store(Pc(3), ScalarType::U32, MemSpace::Global)
+                .load(Pc(4), ScalarType::U32, MemSpace::Global)
+                .build()
+        }
+        fn shared_bytes(&self) -> u64 {
+            4 * 128
+        }
+        fn execute(&self, _ctx: &mut ThreadCtx<'_>) {
+            unreachable!("block-phased kernel");
+        }
+        fn execute_block(&self, blk: &mut BlockCtx<'_>) {
+            let n = blk.block_dim().count() as u64;
+            blk.for_each_thread(|ctx| {
+                let t = ctx.thread_flat() as u64;
+                let addr = self.base + ctx.global_thread_id() as u64 * 4;
+                ctx.shared_store::<u32>(Pc(0), t * 4, t as u32);
+                self.log(ctx, 0, MemSpace::Shared, t * 4, true, t);
+                let v: u32 = ctx.load(Pc(1), addr);
+                self.log(ctx, 1, MemSpace::Global, addr, false, v as u64);
+            });
+            blk.for_each_thread(|ctx| {
+                let t = ctx.thread_flat() as u64;
+                let addr = self.base + ctx.global_thread_id() as u64 * 4;
+                let neighbor = (t + 1) % n * 4;
+                let v: u32 = ctx.shared_load(Pc(2), neighbor);
+                self.log(ctx, 2, MemSpace::Shared, neighbor, false, v as u64);
+                ctx.store::<u32>(Pc(3), addr, v);
+                self.log(ctx, 3, MemSpace::Global, addr, true, v as u64);
+                let old = ctx.atomic_add::<u32>(Pc(4), self.base, 1);
+                self.log(ctx, 4, MemSpace::Global, self.base, false, old as u64);
+                self.log(ctx, 4, MemSpace::Global, self.base, true, old as u64 + 1);
+            });
+        }
+    }
+
+    /// What one hook saw: each slice it was handed, then the launch end.
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Slice(Vec<AccessEvent>),
+        End { instrumented: bool },
+    }
+
+    struct SliceLog {
+        accept: bool,
+        calls: Mutex<Vec<Call>>,
+    }
+
+    impl MemAccessHook for SliceLog {
+        fn on_launch_begin(&self, _info: &crate::hooks::LaunchInfo) -> bool {
+            self.accept
+        }
+        fn on_accesses(&self, events: &[AccessEvent]) {
+            self.calls.lock().push(Call::Slice(events.to_vec()));
+        }
+        fn on_launch_end(
+            &self,
+            _info: &crate::hooks::LaunchInfo,
+            _stats: &LaunchStats,
+            instrumented: bool,
+            _view: &dyn crate::hooks::DeviceView,
+        ) {
+            self.calls.lock().push(Call::End { instrumented });
+        }
+    }
+
+    /// Runs [`Phased`] on 3 blocks of 128 threads (2304 accesses, more
+    /// than two slices) under two hooks that accept or decline it.
+    fn run_phased(accept: bool) -> (Vec<AccessEvent>, [Arc<SliceLog>; 2]) {
+        let mut rt = Runtime::new(DeviceSpec::test_small());
+        let hooks =
+            [(); 2].map(|()| Arc::new(SliceLog { accept, calls: Mutex::new(Vec::new()) }));
+        for h in &hooks {
+            rt.register_access_hook(h.clone());
+        }
+        let base = rt.malloc(4 * 3 * 128, "buf").unwrap().addr();
+        let kernel = Phased { base, log: Mutex::new(Vec::new()) };
+        rt.launch(&kernel, Dim3::linear(3), Dim3::linear(128)).unwrap();
+        (kernel.log.into_inner(), hooks)
+    }
+
+    #[test]
+    fn hooks_receive_the_executed_accesses_in_slices_before_launch_end() {
+        let (executed, hooks) = run_phased(true);
+        assert_eq!(executed.len(), 3 * 128 * 6);
+        for hook in &hooks {
+            let calls = hook.calls.lock();
+            let (last, slices) = calls.split_last().expect("calls recorded");
+            assert_eq!(*last, Call::End { instrumented: true });
+            let slices: Vec<&Vec<AccessEvent>> = slices
+                .iter()
+                .map(|c| match c {
+                    Call::Slice(s) => s,
+                    Call::End { .. } => panic!("launch ended before its last slice"),
+                })
+                .collect();
+            let sizes: Vec<usize> = slices.iter().map(|s| s.len()).collect();
+            assert_eq!(sizes, [ACCESS_SLICE, ACCESS_SLICE, 3 * 128 * 6 - 2 * ACCESS_SLICE]);
+            let delivered: Vec<AccessEvent> = slices.into_iter().flatten().copied().collect();
+            assert_eq!(delivered, executed);
+        }
+    }
+
+    #[test]
+    fn uninstrumented_launch_delivers_no_slices() {
+        let (executed, hooks) = run_phased(false);
+        assert_eq!(executed.len(), 3 * 128 * 6);
+        for hook in &hooks {
+            assert_eq!(*hook.calls.lock(), [Call::End { instrumented: false }]);
+        }
     }
 }

@@ -8,10 +8,12 @@
 //!   equivalent of overloading the `cudaMemcpy`/`cudaMemset`/launch entry
 //!   points, and is what the *coarse-grained* collector uses to capture
 //!   value snapshots.
-//! * [`MemAccessHook`] — invoked on every memory load and store executed by
+//! * [`MemAccessHook`] — receives every memory load and store executed by
 //!   a kernel, carrying PC, address, width, raw bits, and thread
-//!   coordinates. This is the equivalent of the Sanitizer API's
-//!   per-instruction callbacks, used by the *fine-grained* collector.
+//!   coordinates, in slices of consecutive accesses. This is the
+//!   equivalent of the Sanitizer API's per-instruction callbacks filling a
+//!   device buffer the host drains in bulk, used by the *fine-grained*
+//!   collector.
 //!
 //! Hooks take `&self`; implementations use interior mutability so a single
 //! hook object can be registered for both roles and shared with the
@@ -349,16 +351,21 @@ pub struct LaunchInfo {
 ///
 /// `on_launch_begin` may return `false` to decline instrumentation of this
 /// launch entirely (kernel filtering / sampling); in that case no
-/// `on_access` callbacks fire for it, and `on_launch_end` still fires with
-/// `instrumented = false`.
+/// `on_accesses` callbacks fire for it, and `on_launch_end` still fires
+/// with `instrumented = false`.
+///
+/// Accesses of an instrumented launch arrive in slices, in execution
+/// order: a slice every [`crate::exec::ACCESS_SLICE`] accesses and one
+/// with the remainder after the last block, before `on_launch_end`.
 pub trait MemAccessHook: Send + Sync {
     /// A kernel is about to run. Return `false` to skip instrumenting it.
     fn on_launch_begin(&self, _info: &LaunchInfo) -> bool {
         true
     }
 
-    /// One memory access was executed.
-    fn on_access(&self, event: &AccessEvent);
+    /// The next consecutive accesses were executed, in execution order
+    /// (never empty).
+    fn on_accesses(&self, events: &[AccessEvent]);
 
     /// The kernel finished. `view` shows post-kernel device memory.
     fn on_launch_end(

@@ -565,8 +565,8 @@ mod tests {
             fn on_launch_begin(&self, info: &LaunchInfo) -> bool {
                 info.kernel_name == "writer"
             }
-            fn on_access(&self, _e: &crate::hooks::AccessEvent) {
-                *self.count.lock() += 1;
+            fn on_accesses(&self, events: &[crate::hooks::AccessEvent]) {
+                *self.count.lock() += events.len() as u64;
             }
         }
         struct Writer;

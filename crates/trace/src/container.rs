@@ -63,10 +63,11 @@ use crate::codec::{self, ColumnSet, DecodeError};
 use crate::event::{Event, EventSink, KernelSummary};
 use crate::interval::Interval;
 use crate::{AccessRecord, CollectorStats};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use vex_gpu::alloc::AllocationInfo;
 use vex_gpu::callpath::CallPathId;
 use vex_gpu::dim::Dim3;
@@ -707,30 +708,53 @@ impl<'a> Payload<'a> {
 // Writer
 // ---------------------------------------------------------------------------
 
-struct WriterState<W: Write> {
+/// The encoder thread's end of a [`TraceWriter`]: the container stream and
+/// the first I/O error written to it (frames after it are dropped).
+struct FrameOut<W: Write> {
     out: W,
     error: Option<String>,
+}
+
+impl<W: Write> FrameOut<W> {
+    fn write_frame(&mut self, kind: u8, payload: &[u8]) {
+        if self.error.is_some() {
+            return;
+        }
+        let mut head = [0u8; 5];
+        head[0] = kind;
+        head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        let result = self.out.write_all(&head).and_then(|()| self.out.write_all(payload));
+        if let Err(e) = result {
+            self.error = Some(e.to_string());
+        }
+    }
 }
 
 /// Streams the canonical event stream into a `.vex` container.
 ///
 /// Implements [`EventSink`], so it plugs into an
-/// [`crate::event::EventSource`] directly. I/O errors during streaming
-/// are latched and reported by [`TraceWriter::finish`].
-pub struct TraceWriter<W: Write> {
-    state: Mutex<WriterState<W>>,
+/// [`crate::event::EventSource`] directly. Frames are encoded and written
+/// in stream order on a private encoder thread that owns the output:
+/// `on_event` hands each event over through a rendezvous channel, so the
+/// collector fills its next batch while at most one is being encoded.
+/// I/O errors during streaming are latched and reported by
+/// [`TraceWriter::finish`]; a writer dropped without `finish` closes the
+/// channel and joins the thread.
+pub struct TraceWriter<W: Write + Send + 'static> {
+    /// Hand-off to the encoder thread; `None` once closed.
+    events: Option<SyncSender<Event>>,
+    /// The encoder thread; `None` once joined.
+    encoder: Option<JoinHandle<FrameOut<W>>>,
     version: FormatVersion,
 }
 
-impl<W: Write> std::fmt::Debug for TraceWriter<W> {
+impl<W: Write + Send + 'static> std::fmt::Debug for TraceWriter<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceWriter")
-            .field("error", &self.state.lock().error)
-            .finish_non_exhaustive()
+        f.debug_struct("TraceWriter").field("version", &self.version).finish_non_exhaustive()
     }
 }
 
-impl<W: Write> TraceWriter<W> {
+impl<W: Write + Send + 'static> TraceWriter<W> {
     /// Writes the container header and returns the streaming writer,
     /// producing the default (newest) format version.
     ///
@@ -745,7 +769,8 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if writing the header fails.
+    /// Returns the I/O error if writing the header fails or the encoder
+    /// thread cannot be spawned.
     pub fn with_version(
         mut out: W,
         spec: &DeviceSpec,
@@ -758,7 +783,19 @@ impl<W: Write> TraceWriter<W> {
         put_u32(&mut header, flags.to_bits());
         put_spec(&mut header, spec);
         out.write_all(&header)?;
-        Ok(TraceWriter { state: Mutex::new(WriterState { out, error: None }), version })
+        let (events, frames) = sync_channel::<Event>(0);
+        let encoder =
+            std::thread::Builder::new().name("vex-trace-encoder".into()).spawn(move || {
+                let mut sink = FrameOut { out, error: None };
+                for event in frames {
+                    if sink.error.is_none() {
+                        let (kind, payload) = encode_event(&event, version);
+                        sink.write_frame(kind, &payload);
+                    }
+                }
+                sink
+            })?;
+        Ok(TraceWriter { events: Some(events), encoder: Some(encoder), version })
     }
 
     /// The format version this writer produces.
@@ -766,17 +803,11 @@ impl<W: Write> TraceWriter<W> {
         self.version
     }
 
-    fn write_frame(st: &mut WriterState<W>, kind: u8, payload: &[u8]) {
-        if st.error.is_some() {
-            return;
-        }
-        let mut head = [0u8; 5];
-        head[0] = kind;
-        head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        let result = st.out.write_all(&head).and_then(|()| st.out.write_all(payload));
-        if let Err(e) = result {
-            st.error = Some(e.to_string());
-        }
+    /// Closes the hand-off and waits for the encoder thread to write
+    /// every event it was given. `Err` when the thread panicked.
+    fn join(&mut self) -> std::thread::Result<FrameOut<W>> {
+        self.events = None;
+        self.encoder.take().expect("encoder thread joined once").join()
     }
 
     /// Writes the context table and the trailer (traffic counters and
@@ -789,21 +820,23 @@ impl<W: Write> TraceWriter<W> {
     /// # Errors
     ///
     /// Returns [`DecodeError::Io`] if any write (including earlier
-    /// streamed frames) failed.
+    /// streamed frames) failed, or if the encoder thread panicked.
     pub fn finish(
-        self,
+        mut self,
         contexts: &[(CallPathId, String)],
         stats: &CollectorStats,
         app_us: f64,
     ) -> Result<W, DecodeError> {
-        let mut st = self.state.into_inner();
+        let mut st = self
+            .join()
+            .map_err(|_| DecodeError::Io { message: "trace encoder thread panicked".into() })?;
         let mut p = Vec::new();
         put_u32(&mut p, contexts.len() as u32);
         for (id, rendered) in contexts {
             put_u32(&mut p, id.0);
             put_str(&mut p, rendered);
         }
-        Self::write_frame(&mut st, FRAME_CONTEXTS, &p);
+        st.write_frame(FRAME_CONTEXTS, &p);
 
         let mut p = Vec::new();
         put_u64(&mut p, stats.events);
@@ -813,7 +846,7 @@ impl<W: Write> TraceWriter<W> {
         put_u64(&mut p, stats.instrumented_launches);
         put_u64(&mut p, stats.skipped_launches);
         put_f64(&mut p, app_us);
-        Self::write_frame(&mut st, FRAME_FINISH, &p);
+        st.write_frame(FRAME_FINISH, &p);
 
         if st.error.is_none() {
             if let Err(e) = st.out.flush() {
@@ -827,11 +860,22 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-impl<W: Write + Send> EventSink for TraceWriter<W> {
+impl<W: Write + Send + 'static> Drop for TraceWriter<W> {
+    fn drop(&mut self) {
+        if self.encoder.is_some() {
+            // Abandoned without `finish`: the trace is incomplete anyway,
+            // so a write error or encoder panic has no one to report to.
+            let _ = self.join();
+        }
+    }
+}
+
+impl<W: Write + Send + 'static> EventSink for TraceWriter<W> {
     fn on_event(&self, event: &Event) {
-        let (kind, payload) = encode_event(event, self.version);
-        let mut st = self.state.lock();
-        Self::write_frame(&mut st, kind, &payload);
+        if let Some(events) = &self.events {
+            // Fails only if the encoder thread panicked; `finish` says so.
+            let _ = events.send(event.clone());
+        }
     }
 }
 
@@ -1778,6 +1822,71 @@ mod tests {
             skipped_launches: 1,
         };
         writer.finish(&[(CallPathId(0), "<root>".into())], &stats, 123.5).unwrap()
+    }
+
+    /// A sink that accepts `left` bytes, then fails every write — or
+    /// panics, to kill the encoder thread.
+    #[derive(Debug)]
+    struct FailAfter {
+        left: usize,
+        panic: bool,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.left == 0 {
+                assert!(!self.panic, "sink panicked");
+                return Err(std::io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn failing_writer(panic: bool) -> TraceWriter<FailAfter> {
+        // Room for the header, not for the sample's 1 KiB malloc capture.
+        let sink = FailAfter { left: 512, panic };
+        let writer = TraceWriter::new(sink, &DeviceSpec::test_small(), TraceFlags::default())
+            .expect("the header fits");
+        for _ in 0..3 {
+            for e in &sample_events() {
+                writer.on_event(e);
+            }
+        }
+        writer
+    }
+
+    #[test]
+    fn encoder_write_error_is_reported_by_finish() {
+        let err = failing_writer(false)
+            .finish(&[], &CollectorStats::default(), 0.0)
+            .expect_err("the sink failed mid-stream");
+        assert_eq!(err, DecodeError::Io { message: "disk full".into() });
+    }
+
+    #[test]
+    fn encoder_panic_is_reported_by_finish() {
+        let err = failing_writer(true)
+            .finish(&[], &CollectorStats::default(), 0.0)
+            .expect_err("the encoder thread died");
+        assert_eq!(err, DecodeError::Io { message: "trace encoder thread panicked".into() });
+    }
+
+    #[test]
+    fn writer_dropped_without_finish_joins_its_encoder() {
+        // Neither drop may hang or panic, whatever the encoder's state.
+        drop(failing_writer(false));
+        drop(failing_writer(true));
+        let writer =
+            TraceWriter::new(Vec::new(), &DeviceSpec::test_small(), TraceFlags::default())
+                .unwrap();
+        writer.on_event(&sample_events()[0]);
+        drop(writer);
     }
 
     fn assert_event_eq(a: &Event, b: &Event) {

@@ -32,7 +32,7 @@
 //! [`Event::Api`] each.
 
 pub use crate::codec::{ColumnSet, DecodedBatch};
-use crate::interval::{merge_parallel, warp_compact, Interval};
+use crate::interval::{merge_into, merge_parallel, Interval};
 use crate::{AccessRecord, CollectorStats, DeviceBuffer, LaunchFilter};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -44,12 +44,22 @@ use vex_gpu::hooks::{
 use vex_gpu::ir::MemSpace;
 use vex_gpu::runtime::Runtime;
 
+/// How many of the newest pending intervals of one direction
+/// [`KernelIntervals::add`] tries to merge a new interval into.
+const COALESCE_WINDOW: usize = 8;
+
 /// Per-kernel interval collection with §6.1 warp-level compaction.
 ///
 /// Accesses arrive warp-by-warp (the simulator executes a warp at a
-/// time); consecutive same-warp intervals are compacted eagerly so the
-/// per-kernel working set stays proportional to the *compacted* interval
-/// count.
+/// time). Each new interval of the current warp is merged on arrival into
+/// one of the last [`COALESCE_WINDOW`] pending intervals of its direction
+/// that it overlaps or touches, and appended only when none does; a warp
+/// change sorts and sweeps the few pending intervals straight into
+/// `reads`/`writes`. Merging two mergeable intervals into their union
+/// keeps the union of the warp's intervals, and the sweep emits that
+/// union's canonical form, so each warp contributes exactly
+/// [`crate::interval::merge_sequential`] of its intervals whatever the
+/// arrival order.
 #[derive(Debug)]
 pub struct KernelIntervals {
     compaction: bool,
@@ -101,22 +111,22 @@ impl KernelIntervals {
             self.flush_pending();
             self.pending_warp = Some(warp);
         }
-        if is_store {
-            self.pending_writes.push(interval);
-        } else {
-            self.pending_reads.push(interval);
+        let pending = if is_store { &mut self.pending_writes } else { &mut self.pending_reads };
+        let window = pending.len().saturating_sub(COALESCE_WINDOW);
+        match pending[window..].iter_mut().rev().find(|p| p.mergeable(&interval)) {
+            Some(p) => {
+                p.start = p.start.min(interval.start);
+                p.end = p.end.max(interval.end);
+            }
+            None => pending.push(interval),
         }
     }
 
     fn flush_pending(&mut self) {
-        if !self.pending_writes.is_empty() {
-            self.writes.extend(warp_compact(&self.pending_writes));
-            self.pending_writes.clear();
-        }
-        if !self.pending_reads.is_empty() {
-            self.reads.extend(warp_compact(&self.pending_reads));
-            self.pending_reads.clear();
-        }
+        merge_into(&mut self.pending_writes, &mut self.writes);
+        self.pending_writes.clear();
+        merge_into(&mut self.pending_reads, &mut self.reads);
+        self.pending_reads.clear();
     }
 
     /// Finishes the kernel: returns `(reads, writes, raw, compacted)`
@@ -421,11 +431,12 @@ impl MemAccessHook for EventSource {
         accept
     }
 
-    fn on_access(&self, event: &AccessEvent) {
-        let mut st = self.state.lock();
-        // Shared-memory traffic never updates global snapshots.
-        if event.space == MemSpace::Global {
-            if let Some(k) = &mut st.kernel {
+    fn on_accesses(&self, events: &[AccessEvent]) {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        if let Some(k) = &mut st.kernel {
+            // Shared-memory traffic never updates global snapshots.
+            for event in events.iter().filter(|e| e.space == MemSpace::Global) {
                 let (s, e) = event.interval();
                 k.add(event.block, event.thread, Interval::new(s, e), event.is_store);
             }
@@ -433,14 +444,14 @@ impl MemAccessHook for EventSource {
         if !st.fine_active {
             return;
         }
-        st.stats.events_checked += 1;
-        if !event.block.is_multiple_of(self.config.block_period) {
-            return; // block sampling: never buffered, never flushed
-        }
-        st.stats.events += 1;
-        let full = st.buffer.push(AccessRecord::from(event));
-        if full {
-            Self::flush(&mut st, &*self.sink);
+        st.stats.events_checked += events.len() as u64;
+        // Block sampling: other blocks are never buffered, never flushed.
+        for event in events.iter().filter(|e| e.block.is_multiple_of(self.config.block_period))
+        {
+            st.stats.events += 1;
+            if st.buffer.push(AccessRecord::from(event)) {
+                Self::flush(st, &*self.sink);
+            }
         }
     }
 
@@ -477,7 +488,9 @@ impl MemAccessHook for EventSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interval::merge_sequential;
     use crate::AcceptAll;
+    use proptest::prelude::*;
     use vex_gpu::dim::Dim3;
     use vex_gpu::ir::{InstrTableBuilder, Pc, ScalarType};
     use vex_gpu::kernel::Kernel;
@@ -592,5 +605,102 @@ mod tests {
             panic!("coarse summary expected even for fine-skipped launches");
         };
         assert_eq!(summary.raw, 10);
+    }
+
+    /// One access of a generated stream: `(block, thread, start, len,
+    /// is_store)`.
+    type Access = (u32, u32, u64, u64, bool);
+
+    /// What [`KernelIntervals`] must produce: every maximal run of
+    /// same-warp accesses contributes `merge_sequential` of its reads and
+    /// of its writes; without compaction, every interval as it came.
+    fn reference(accesses: &[Access], compaction: bool) -> (Vec<Interval>, Vec<Interval>) {
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        let mut run = 0;
+        while run < accesses.len() {
+            let warp = |a: &Access| (a.0, a.1 / 32);
+            let len = if compaction {
+                accesses[run..].iter().take_while(|a| warp(a) == warp(&accesses[run])).count()
+            } else {
+                1
+            };
+            let of = |store: bool| -> Vec<Interval> {
+                accesses[run..run + len]
+                    .iter()
+                    .filter(|a| a.4 == store)
+                    .map(|a| Interval::new(a.2, a.2 + a.3))
+                    .collect()
+            };
+            reads.extend(merge_sequential(&of(false)));
+            writes.extend(merge_sequential(&of(true)));
+            run += len;
+        }
+        (reads, writes)
+    }
+
+    fn compact(
+        accesses: &[Access],
+        compaction: bool,
+    ) -> (Vec<Interval>, Vec<Interval>, u64, u64) {
+        let mut k = KernelIntervals::new(compaction);
+        for &(block, thread, start, len, is_store) in accesses {
+            k.add(block, thread, Interval::new(start, start + len), is_store);
+        }
+        k.finish()
+    }
+
+    fn assert_matches_reference(accesses: &[Access], compaction: bool) {
+        let (reads, writes, raw, compacted) = compact(accesses, compaction);
+        let (want_reads, want_writes) = reference(accesses, compaction);
+        assert_eq!(reads, want_reads);
+        assert_eq!(writes, want_writes);
+        assert_eq!(raw, accesses.len() as u64);
+        assert_eq!(compacted, (reads.len() + writes.len()) as u64);
+    }
+
+    #[test]
+    fn coalescing_window_overflow_and_bridging() {
+        // Ten disjoint loads, more than the window holds, then one load
+        // bridging all of them: the sweep finishes what the window could
+        // not reach.
+        let mut accesses: Vec<Access> =
+            (0..10).map(|i| (0, i, 100 - i as u64 * 10, 4, false)).collect();
+        accesses.push((0, 31, 0, 200, false));
+        // Touching stores arriving backwards, and a warp change.
+        accesses.extend((0..32).map(|t| (0, t, 400 - t as u64 * 4, 4, true)));
+        accesses.push((0, 32, 0, 4, true));
+        let (reads, writes, ..) = compact(&accesses, true);
+        assert_eq!(reads, vec![Interval::new(0, 200)]);
+        assert_eq!(writes, vec![Interval::new(276, 404), Interval::new(0, 4)]);
+        assert_matches_reference(&accesses, true);
+        assert_matches_reference(&accesses, false);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_coalescing_compaction_equals_per_warp_merge(
+            runs in prop::collection::vec(
+                (
+                    0u32..2,
+                    0u32..3,
+                    prop::collection::vec((0u32..32, 0u64..256, 1u64..16, any::<bool>()), 0..48),
+                ),
+                0..12,
+            ),
+            compaction in any::<bool>(),
+        ) {
+            // Runs of one warp each, in random order: warps repeat, come
+            // back after others, and carry random (overlapping, touching,
+            // bridging or disjoint) intervals in any address order.
+            let accesses: Vec<Access> = runs
+                .iter()
+                .flat_map(|(block, warp, run)| {
+                    run.iter().map(move |&(lane, start, len, store)| {
+                        (*block, warp * 32 + lane, start, len, store)
+                    })
+                })
+                .collect();
+            assert_matches_reference(&accesses, compaction);
+        }
     }
 }

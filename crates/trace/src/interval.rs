@@ -12,10 +12,12 @@
 //!    find merged-interval boundaries, flag arrays, second scans for
 //!    output indices, and a final scatter. Every step is a data-parallel
 //!    primitive; [`merge_parallel_threaded`] executes the same steps with
-//!    chunked multi-threading via crossbeam to demonstrate real scaling;
-//! 3. [`warp_compact`] — the "interval compaction" fast path that merges
-//!    intervals produced by threads of the same warp before they ever
-//!    reach the shared buffer.
+//!    chunked multi-threading via crossbeam to demonstrate real scaling.
+//!
+//! The §6.1 warp-level compaction, which merges the intervals of one warp
+//! before they reach the shared buffer, lives in
+//! [`crate::event::KernelIntervals`]; its output per warp is exactly
+//! [`merge_sequential`] of the warp's intervals.
 
 use serde::{Deserialize, Serialize};
 
@@ -76,14 +78,20 @@ pub fn covered_bytes(intervals: &[Interval]) -> u64 {
 /// Adjacent intervals (`a.end == b.start`) are coalesced, matching the
 /// paper's definition of mergeable intervals.
 pub fn merge_sequential(intervals: &[Interval]) -> Vec<Interval> {
-    if intervals.is_empty() {
-        return Vec::new();
-    }
-    let mut sorted = intervals.to_vec();
-    sorted.sort_unstable_by_key(|iv| (iv.start, iv.end));
-    let mut out = Vec::with_capacity(sorted.len() / 2 + 1);
-    let mut cur = sorted[0];
-    for iv in &sorted[1..] {
+    let mut out = Vec::with_capacity(intervals.len() / 2 + 1);
+    merge_into(&mut intervals.to_vec(), &mut out);
+    out
+}
+
+/// [`merge_sequential`] in place: sorts `intervals` and appends the merged
+/// set to `out`, allocating nothing beyond `out`'s growth.
+pub fn merge_into(intervals: &mut [Interval], out: &mut Vec<Interval>) {
+    intervals.sort_unstable_by_key(|iv| (iv.start, iv.end));
+    let Some((&first, rest)) = intervals.split_first() else {
+        return;
+    };
+    let mut cur = first;
+    for iv in rest {
         if iv.start <= cur.end {
             cur.end = cur.end.max(iv.end);
         } else {
@@ -92,7 +100,6 @@ pub fn merge_sequential(intervals: &[Interval]) -> Vec<Interval> {
         }
     }
     out.push(cur);
-    out
 }
 
 /// Endpoints are packed into a single `u64` — `(address << 1) | is_end`
@@ -313,18 +320,6 @@ pub fn merge_parallel_threaded(intervals: &[Interval], threads: usize) -> Vec<In
     out
 }
 
-/// Warp-level interval compaction: merges the intervals produced by the
-/// (up to 32) threads of one warp before they enter the device buffer.
-/// On real hardware this uses `shfl`/`bfind`/`brev` warp primitives; the
-/// effect — and the compression ratio the overhead model depends on — is
-/// identical: coalesced accesses of a warp collapse to one interval.
-///
-/// `intervals` must all come from the same warp (callers group by
-/// `block, thread/32`). Returns the merged set, preserving address order.
-pub fn warp_compact(intervals: &[Interval]) -> Vec<Interval> {
-    merge_sequential(intervals)
-}
-
 /// Statistics of one merge, used by benches and the overhead model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MergeStats {
@@ -419,7 +414,7 @@ mod tests {
     #[test]
     fn warp_compact_coalesced_collapses_to_one() {
         let ivs: Vec<Interval> = (0..32u64).map(|t| iv(t * 4, t * 4 + 4)).collect();
-        assert_eq!(warp_compact(&ivs), vec![iv(0, 128)]);
+        assert_eq!(merge_sequential(&ivs), vec![iv(0, 128)]);
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! the binaries call) and diff the freshly produced artefacts against the
 //! committed ones, so any change to the analyzers that silently shifts an
 //! experiment result fails CI with a readable diff.
+//! `results/trace_digests.txt` pins the bytes the recorder writes: the
+//! SHA-256 of a few recorded traces under every collection mode, so a
+//! change to the collector that moves a single trace byte fails here.
 //!
 //! When a change is *supposed* to move the numbers, regenerate with:
 //!
@@ -16,9 +19,11 @@
 //! and commit the rewritten files under `results/`.
 
 use std::path::PathBuf;
-use vex_bench::{figure2_stats, table1_detect, table1_expected, table1_row};
+use vex_bench::{figure2_stats, record_app, table1_detect, table1_expected, table1_row};
+use vex_core::prelude::*;
+use vex_core::sha256::sha256;
 use vex_gpu::timing::DeviceSpec;
-use vex_workloads::{all_apps, apps::darknet::Darknet, apps::lammps::Lammps};
+use vex_workloads::{all_apps, apps::darknet::Darknet, apps::lammps::Lammps, Variant};
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
@@ -75,4 +80,31 @@ fn table1_artifact_matches_pipeline_rerun() {
         .collect();
     let json = serde_json::to_string_pretty(&rows).expect("serialize table1 rows");
     check_golden("table1.json", &json);
+}
+
+/// Records a few bundled workloads the way `vex record` does (RTX 2080 Ti
+/// preset, baseline variant) under each collection mode — `--fine`,
+/// coarse only, `--fine --block-sampling 4` and `--fine
+/// --kernel-sampling 3` — and diffs the SHA-256 of every trace against
+/// the golden. huffman brings atomics, bfs scattered reads.
+#[test]
+fn recorded_trace_bytes_match_golden_digests() {
+    let modes = [
+        ("fine", ValueExpert::builder().fine(true)),
+        ("coarse", ValueExpert::builder().fine(false)),
+        ("block4", ValueExpert::builder().fine(true).block_sampling(4)),
+        ("kernel3", ValueExpert::builder().fine(true).kernel_sampling(3)),
+    ];
+    let spec = DeviceSpec::rtx2080ti();
+    let mut lines = String::new();
+    for app in all_apps() {
+        if !["huffman", "bfs", "hotspot", "BarraCUDA"].contains(&app.name()) {
+            continue;
+        }
+        for (mode, builder) in &modes {
+            let trace = record_app(&spec, app.as_ref(), Variant::Baseline, builder.clone());
+            lines += &format!("{} {mode} {}\n", app.name(), sha256(&trace).to_hex());
+        }
+    }
+    check_golden("trace_digests.txt", &lines);
 }
