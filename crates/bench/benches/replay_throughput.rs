@@ -4,12 +4,9 @@
 //! The Criterion groups measure, per workload:
 //!
 //! * **decode** — parsing the container bytes into [`RecordedTrace`]
-//!   sequentially (header, frames, record batches);
-//! * **decode_parallel** — the same full decode with columnar batches
-//!   spread over a worker pool ([`read_trace_with`], one worker per
-//!   available core);
-//! * **decode_projected** — the parallel decode additionally projected
-//!   onto the fine-pass [`ColumnSet`];
+//!   (header, frames, record batches);
+//! * **decode_projected** — the same decode projected onto the
+//!   fine-pass column set ([`read_trace_with`]);
 //! * **dispatch** — fanning the decoded events into an [`EventSink`]
 //!   (the fixed per-event cost every replay consumer pays);
 //! * **replay_analysis** — a full offline ValueExpert replay of an
@@ -40,10 +37,7 @@ use vex_bench::{median, record_app, write_json};
 use vex_core::prelude::*;
 use vex_core::profiler::ProfilerBuilder;
 use vex_gpu::timing::DeviceSpec;
-use vex_trace::codec::ColumnSet;
-use vex_trace::container::{
-    read_trace, read_trace_with, DecodeOptions, RecordedTrace, TraceReader,
-};
+use vex_trace::container::{read_trace, read_trace_with, RecordedTrace, TraceReader};
 use vex_trace::event::{Event, EventSink};
 use vex_workloads::{all_apps, GpuApp, Variant};
 
@@ -59,11 +53,6 @@ const GATED_STREAM_RATIO: f64 = 0.5;
 /// third of the time, so [`GATED_STREAM_RATIO`] leaves room for the
 /// structural walk. Below it, the ratio is reported only.
 const DECODE_BOUND_SHARE: f64 = 2.0 / 3.0;
-
-/// Worker threads for the parallel decode paths: one per core.
-fn decode_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
 
 /// The coarse+fine ValueExpert replay configuration.
 fn fine_replay() -> ProfilerBuilder {
@@ -127,22 +116,7 @@ fn bench_replay(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("decode", app.name()), &bytes, |b, bytes| {
             b.iter(|| black_box(read_trace(black_box(bytes)).expect("trace decodes")))
         });
-        let parallel = DecodeOptions { threads: decode_threads(), columns: ColumnSet::ALL };
-        group.bench_with_input(
-            BenchmarkId::new("decode_parallel", app.name()),
-            &bytes,
-            |b, bytes| {
-                b.iter(|| {
-                    black_box(
-                        read_trace_with(black_box(bytes), &parallel).expect("trace decodes"),
-                    )
-                })
-            },
-        );
-        let projected = DecodeOptions {
-            threads: decode_threads(),
-            columns: fine_replay().required_columns(),
-        };
+        let projected = fine_replay().decode_options();
         group.bench_with_input(
             BenchmarkId::new("decode_projected", app.name()),
             &bytes,
@@ -179,11 +153,8 @@ struct ThroughputRow {
     app: String,
     trace_bytes: usize,
     records: u64,
-    decode_threads: usize,
     decode_records_per_s: f64,
-    parallel_decode_records_per_s: f64,
     projected_decode_records_per_s: f64,
-    parallel_speedup: f64,
     projected_speedup: f64,
     /// Coarse+fine replay: projected decode into a `RecordedTrace`, then
     /// replay.
@@ -240,15 +211,7 @@ fn artifact() {
         let decode = median_secs(|| {
             black_box(read_trace(black_box(&bytes)).expect("trace decodes"));
         });
-        let threads = decode_threads();
-        let parallel_opts = DecodeOptions { threads, columns: ColumnSet::ALL };
-        let parallel = median_secs(|| {
-            black_box(
-                read_trace_with(black_box(&bytes), &parallel_opts).expect("trace decodes"),
-            );
-        });
-        let projected_opts =
-            DecodeOptions { threads, columns: fine_replay().required_columns() };
+        let projected_opts = fine_replay().decode_options();
         let projected = median_secs(|| {
             black_box(
                 read_trace_with(black_box(&bytes), &projected_opts).expect("trace decodes"),
@@ -274,11 +237,8 @@ fn artifact() {
             app: app.name().to_owned(),
             trace_bytes: bytes.len(),
             records,
-            decode_threads: threads,
             decode_records_per_s: rate(decode),
-            parallel_decode_records_per_s: rate(parallel),
             projected_decode_records_per_s: rate(projected),
-            parallel_speedup: decode / parallel,
             projected_speedup: decode / projected,
             materialize_replay_records_per_s: rate(materialized),
             materialize_replay_ns_per_record: materialized * 1e9 / records as f64,
@@ -292,15 +252,13 @@ fn artifact() {
     }
     for r in &rows {
         println!(
-            "{:<10} {:>9} records {:>10} bytes  decode {:>6.1} ns/rec  parallel({}) {:.2}x  \
+            "{:<10} {:>9} records {:>10} bytes  decode {:>6.1} ns/rec  \
              projected {:.2}x  materialize+replay {:>6.1} ns/rec  stream_replay {:>6.1} ns/rec  \
              coarse-only {:.1} ms -> {:.1} ms ({:.2}x, decode {:.0}%{})",
             r.app,
             r.records,
             r.trace_bytes,
             1e9 / r.decode_records_per_s,
-            r.decode_threads,
-            r.parallel_speedup,
             r.projected_speedup,
             r.materialize_replay_ns_per_record,
             r.stream_replay_ns_per_record,

@@ -7,9 +7,9 @@
 //!   and as v2;
 //! * **full decode** — events per second for [`read_trace`] over each
 //!   encoding (5-run median), materializing every access record;
-//! * **scan** — events per second for [`summarize`] over each encoding
-//!   (skip-records scan: frames are walked and validated but no record
-//!   is materialized), the `vex info` / vex-serve indexing path.
+//! * **scan** — events per second for [`index_trace`] over each
+//!   encoding (skip-records scan: frames are walked and validated but no
+//!   record is materialized), the `vex info` / vex-serve indexing path.
 //!
 //! Full decode must reproduce the identical in-memory event model from
 //! both encodings, so its cost is dominated by writing out the ~32-byte
@@ -36,7 +36,7 @@ use vex_bench::{median, record_app, write_json};
 use vex_core::prelude::*;
 use vex_gpu::timing::DeviceSpec;
 use vex_trace::container::{read_trace, FormatVersion, TraceWriter};
-use vex_trace::summary::summarize;
+use vex_trace::index::index_trace;
 use vex_workloads::{all_apps, GpuApp, Variant};
 
 /// The workloads measured — one small, one large event stream.
@@ -115,7 +115,7 @@ fn artifact() {
         let v1 = reencode(&v2, FormatVersion::V1);
         let trace = read_trace(&v2).expect("trace decodes");
         let events = trace.events.len();
-        let records = vex_trace::summary::summarize(&v2[..]).expect("summarizes").records;
+        let records = index_trace(&v2[..]).expect("trace indexes").summary.records;
         let v1_rate = measure_events_per_s(events, || {
             black_box(read_trace(black_box(&v1)).expect("trace decodes"));
         });
@@ -123,10 +123,10 @@ fn artifact() {
             black_box(read_trace(black_box(&v2)).expect("trace decodes"));
         });
         let v1_scan = measure_events_per_s(events, || {
-            black_box(summarize(black_box(&v1[..])).expect("trace summarizes"));
+            black_box(index_trace(black_box(&v1[..])).expect("trace indexes"));
         });
         let v2_scan = measure_events_per_s(events, || {
-            black_box(summarize(black_box(&v2[..])).expect("trace summarizes"));
+            black_box(index_trace(black_box(&v2[..])).expect("trace indexes"));
         });
         rows.push(CompressionRow {
             app: app.name().to_owned(),

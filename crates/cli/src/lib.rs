@@ -28,7 +28,7 @@ use vex_core::prelude::*;
 use vex_core::profiler::check_analysis_params;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
-use vex_gvprof::GvProfSession;
+use vex_gvprof::{GvProfReplayError, GvProfSession};
 use vex_trace::codec::DecodeError;
 use vex_trace::container::TraceReader;
 use vex_workloads::{all_apps, GpuApp, Variant};
@@ -132,9 +132,6 @@ pub struct ServeArgs {
     pub workers: usize,
     /// Report-cache capacity, entries.
     pub cache_entries: usize,
-    /// Worker threads decoding a trace's columnar batches when it is
-    /// materialized (1 = sequential decode).
-    pub decode_threads: usize,
     /// Upper bound on resident decoded trace bytes (`None` =
     /// unbounded); least-recently-used decoded traces are evicted to
     /// stay under it.
@@ -159,7 +156,6 @@ impl ServeArgs {
             addr: "127.0.0.1:7070".into(),
             workers: 4,
             cache_entries: 64,
-            decode_threads: 1,
             memory_budget: None,
             ingest: false,
             max_ingest_bytes: 64 * 1024 * 1024,
@@ -311,9 +307,6 @@ pub struct ReplayArgs {
     pub dot: Option<String>,
     /// Write a Markdown report here.
     pub md: Option<String>,
-    /// Worker threads decoding the trace's columnar batches (only with
-    /// `--gvprof`; a streamed replay decodes inline).
-    pub decode_threads: usize,
 }
 
 impl ReplayArgs {
@@ -327,7 +320,6 @@ impl ReplayArgs {
             json: None,
             dot: None,
             md: None,
-            decode_threads: 1,
         }
     }
 }
@@ -464,9 +456,8 @@ usage:
                one record batch at a time; reports are byte-identical to a
                live session with the same options
   vex replay <trace.vex> --gvprof [--kernel-sampling N] [--block-sampling N]
-               [--decode-threads N]
-               replay a --fine trace through the GVProf baseline
-               (--decode-threads decodes columnar batches on N workers)
+               replay a --fine trace through the GVProf baseline, streaming
+               it one record batch at a time
   vex diff <a.vex> <b.vex> [--threshold FRACTION] [--format text|json] [--ci]
                [--ci-threshold CATEGORY=FRACTION]... [--no-coarse] [--fine]
                [--races] [--reuse LINE_BYTES] [--shards N]
@@ -492,8 +483,7 @@ usage:
                new valid container (default out: <stem>.repaired.vex) and
                print a loss report
   vex serve <dir> [--addr HOST:PORT] [--workers N] [--cache-entries K]
-               [--decode-threads N] [--memory-budget BYTES[k|m|g]]
-               [--trace-ttl SECS] [--ingest]
+               [--memory-budget BYTES[k|m|g]] [--trace-ttl SECS] [--ingest]
                [--max-ingest-bytes BYTES[k|m|g]] [--strict]
                index every .vex trace in <dir> (cheap skip-scan, no full
                decode) and serve profile queries over HTTP: /traces,
@@ -553,16 +543,18 @@ fn take_value<'a, I: Iterator<Item = &'a str>>(
     it.next().ok_or_else(|| UsageError(format!("{flag} requires a value")))
 }
 
-/// The value of a `--decode-threads` flag: a worker count of at least 1.
-fn decode_threads_value<'a>(
+/// The value of a `--kernel-sampling` / `--block-sampling` flag: a
+/// period of at least 1 (every N-th launch or block is instrumented).
+fn sampling_period<'a, T: std::str::FromStr + From<u8> + PartialEq>(
     flag: &str,
     it: &mut impl Iterator<Item = &'a str>,
-) -> Result<usize, UsageError> {
-    let n: usize = take_value(flag, it)?
+) -> Result<T, UsageError> {
+    let what = if flag == "--kernel-sampling" { "kernel" } else { "block" };
+    let n: T = take_value(flag, it)?
         .parse()
-        .map_err(|_| UsageError("invalid decode thread count".into()))?;
-    if n == 0 {
-        return Err(UsageError("--decode-threads must be at least 1".into()));
+        .map_err(|_| UsageError(format!("invalid {what} sampling period")))?;
+    if n == T::from(0) {
+        return Err(UsageError(format!("{flag} must be at least 1")));
     }
     Ok(n)
 }
@@ -618,16 +610,8 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                     "--device" => p.device = parse_device(take_value(flag, &mut it)?)?,
                     "--no-coarse" => p.coarse = false,
                     "--no-fine" => p.fine = false,
-                    "--kernel-sampling" => {
-                        p.kernel_sampling = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid kernel sampling period".into()))?
-                    }
-                    "--block-sampling" => {
-                        p.block_sampling = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid block sampling period".into()))?
-                    }
+                    "--kernel-sampling" => p.kernel_sampling = sampling_period(flag, &mut it)?,
+                    "--block-sampling" => p.block_sampling = sampling_period(flag, &mut it)?,
                     "--filter" => p.filters.push(take_value(flag, &mut it)?.to_owned()),
                     "--races" => p.races = true,
                     "--reuse" => {
@@ -694,16 +678,8 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                     "--no-coarse" => r.coarse = false,
                     "--fine" => r.fine = true,
                     "--variant" => r.variant = parse_variant(take_value(flag, &mut it)?)?,
-                    "--kernel-sampling" => {
-                        r.kernel_sampling = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid kernel sampling period".into()))?
-                    }
-                    "--block-sampling" => {
-                        r.block_sampling = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid block sampling period".into()))?
-                    }
+                    "--kernel-sampling" => r.kernel_sampling = sampling_period(flag, &mut it)?,
+                    "--block-sampling" => r.block_sampling = sampling_period(flag, &mut it)?,
                     "--filter" => r.filters.push(take_value(flag, &mut it)?.to_owned()),
                     "--push" => r.push = Some(take_value(flag, &mut it)?.to_owned()),
                     "--spool-dir" => r.spool_dir = Some(take_value(flag, &mut it)?.to_owned()),
@@ -732,22 +708,11 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                 match flag {
                     "--help" | "-h" => return Ok(Command::Help),
                     "--gvprof" => r.gvprof = true,
-                    "--kernel-sampling" => {
-                        r.kernel_sampling = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid kernel sampling period".into()))?
-                    }
-                    "--block-sampling" => {
-                        r.block_sampling = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid block sampling period".into()))?
-                    }
+                    "--kernel-sampling" => r.kernel_sampling = sampling_period(flag, &mut it)?,
+                    "--block-sampling" => r.block_sampling = sampling_period(flag, &mut it)?,
                     "--json" => r.json = Some(take_value(flag, &mut it)?.to_owned()),
                     "--dot" => r.dot = Some(take_value(flag, &mut it)?.to_owned()),
                     "--md" => r.md = Some(take_value(flag, &mut it)?.to_owned()),
-                    "--decode-threads" => {
-                        r.decode_threads = decode_threads_value(flag, &mut it)?
-                    }
                     other => return Err(UsageError(format!("unknown flag '{other}'"))),
                 }
             }
@@ -764,13 +729,6 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                 return Err(UsageError(
                     "sampling periods are baked into the trace at record time; \
                      --kernel-sampling/--block-sampling only apply to --gvprof replays"
-                        .into(),
-                ));
-            }
-            if !r.gvprof && r.decode_threads > 1 {
-                return Err(UsageError(
-                    "--decode-threads only applies to --gvprof replays; a streamed replay \
-                     decodes each batch inline"
                         .into(),
                 ));
             }
@@ -911,9 +869,6 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                         s.cache_entries = take_value(flag, &mut it)?
                             .parse()
                             .map_err(|_| UsageError("invalid cache capacity".into()))?
-                    }
-                    "--decode-threads" => {
-                        s.decode_threads = decode_threads_value(flag, &mut it)?
                     }
                     "--memory-budget" => {
                         s.memory_budget = Some(parse_byte_size(take_value(flag, &mut it)?)?)
@@ -1250,19 +1205,15 @@ fn run_unit(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), UsageErro
         }
         Command::Replay(r) => {
             if r.gvprof {
-                // The GVProf baseline declares its own column demand.
-                let opts = vex_trace::container::DecodeOptions {
-                    threads: r.decode_threads,
-                    columns: vex_gvprof::REPLAY_COLUMNS,
-                };
-                let trace = vex_trace::container::read_trace_file_with(
-                    std::path::Path::new(&r.path),
-                    &opts,
+                let (results, _) = vex_gvprof::replay(
+                    open_trace(&r.path)?,
+                    r.kernel_sampling,
+                    r.block_sampling,
                 )
-                .map_err(|e| UsageError(format!("cannot read trace '{}': {e}", r.path)))?;
-                let (results, _) =
-                    vex_gvprof::replay(&trace, r.kernel_sampling, r.block_sampling)
-                        .map_err(|e| UsageError(e.to_string()))?;
+                .map_err(|e| match e {
+                    GvProfReplayError::Decode(e) => cannot_read_trace(&r.path, &e),
+                    e => UsageError(e.to_string()),
+                })?;
                 return write_gvprof_results(out, &results);
             }
             let profile = replay_file(r.analysis.builder(), &r.path)?;
@@ -1285,8 +1236,8 @@ fn run_unit(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), UsageErro
             Ok(())
         }
         Command::Info { path, json } => {
-            let s = match vex_trace::summary::summarize_file(std::path::Path::new(path)) {
-                Ok(s) => s,
+            let s = match vex_trace::index::index_trace_file(std::path::Path::new(path)) {
+                Ok(index) => index.summary,
                 Err(e) => {
                     // Decode failed — probe for a salvageable prefix (a
                     // crashed recording usually leaves one) before giving
@@ -1497,16 +1448,24 @@ fn write_info_json(
 /// decode failure — however late in the stream — or capture gap fails the
 /// whole replay, so no partial report is ever rendered.
 fn replay_file(b: ProfilerBuilder, path: &str) -> Result<Profile, UsageError> {
-    let cannot_read =
-        |e: &dyn std::fmt::Display| UsageError(format!("cannot read trace '{path}': {e}"));
-    let file = std::fs::File::open(path).map_err(|e| cannot_read(&DecodeError::from(e)))?;
-    let reader =
-        TraceReader::new(std::io::BufReader::new(file)).map_err(|e| cannot_read(&e))?;
-    b.replay_reader(reader).map_err(|e| match e {
-        ReplayError::Decode(e) => cannot_read(&e),
-        ReplayError::CaptureGap(gap) => cannot_read(&gap),
+    b.replay_reader(open_trace(path)?).map_err(|e| match e {
+        ReplayError::Decode(e) => cannot_read_trace(path, &e),
+        ReplayError::CaptureGap(gap) => cannot_read_trace(path, &gap),
         e => UsageError(e.to_string()),
     })
+}
+
+/// Opens `path` for streaming and decodes its header.
+fn open_trace(
+    path: &str,
+) -> Result<TraceReader<std::io::BufReader<std::fs::File>>, UsageError> {
+    let file = std::fs::File::open(path)
+        .map_err(|e| cannot_read_trace(path, &DecodeError::from(e)))?;
+    TraceReader::new(std::io::BufReader::new(file)).map_err(|e| cannot_read_trace(path, &e))
+}
+
+fn cannot_read_trace(path: &str, e: &dyn std::fmt::Display) -> UsageError {
+    UsageError(format!("cannot read trace '{path}': {e}"))
 }
 
 /// `vex diff`: replay both traces with identical options, diff the
@@ -1573,7 +1532,6 @@ fn default_repair_output(input: &str) -> String {
 /// address cannot be bound.
 pub fn start_server(args: &ServeArgs) -> Result<vex_serve::Server, UsageError> {
     let opts = vex_serve::StoreOptions {
-        decode_threads: args.decode_threads,
         memory_budget: args.memory_budget,
         strict: args.strict,
         trace_ttl: args.trace_ttl.map(std::time::Duration::from_secs),
@@ -1756,46 +1714,36 @@ mod tests {
     }
 
     #[test]
-    fn parses_decode_threads_flag() {
-        // Default: single-threaded decode on both subcommands.
-        match parse_args(["replay", "t.vex"]).unwrap() {
-            Command::Replay(r) => assert_eq!(r.decode_threads, 1),
-            other => panic!("unexpected {other:?}"),
+    fn decode_threads_flag_is_unknown() {
+        // Every decode runs on the calling thread; the pool knob is gone.
+        for sub in [&["replay", "t.vex"][..], &["replay", "t.vex", "--gvprof"], &["serve", "d"]]
+        {
+            let err = parse_args(sub.iter().copied().chain(["--decode-threads", "2"]))
+                .expect_err("--decode-threads is rejected");
+            assert_eq!(err.0, "unknown flag '--decode-threads'", "{sub:?}");
         }
-        match parse_args(["serve", "traces"]).unwrap() {
-            Command::Serve(s) => assert_eq!(s.decode_threads, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Explicit values.
-        match parse_args(["serve", "traces", "--decode-threads", "4"]).unwrap() {
-            Command::Serve(s) => assert_eq!(s.decode_threads, 4),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Valid alongside --gvprof (it is a decode knob, not an analysis).
-        match parse_args(["replay", "t.vex", "--gvprof", "--decode-threads", "2"]).unwrap() {
-            Command::Replay(r) => {
-                assert!(r.gvprof);
-                assert_eq!(r.decode_threads, 2);
+        assert!(!USAGE.contains("--decode-threads"), "{USAGE}");
+    }
+
+    #[test]
+    fn sampling_periods_must_be_positive_integers() {
+        let subcommands: [&[&str]; 3] =
+            [&["profile", "x"], &["record", "x"], &["replay", "t.vex", "--gvprof"]];
+        for sub in subcommands {
+            for (flag, what) in [("--kernel-sampling", "kernel"), ("--block-sampling", "block")]
+            {
+                let with = |extra: &[&'static str]| {
+                    parse_args(sub.iter().copied().chain([flag]).chain(extra.iter().copied()))
+                };
+                let err = with(&["0"]).expect_err("a zero period is rejected");
+                assert_eq!(err.0, format!("{flag} must be at least 1"), "{sub:?}");
+                let err = with(&["many"]).expect_err("garbage is rejected");
+                assert_eq!(err.0, format!("invalid {what} sampling period"), "{sub:?}");
+                let err = with(&[]).expect_err("a missing value is rejected");
+                assert_eq!(err.0, format!("{flag} requires a value"), "{sub:?}");
+                assert!(with(&["3"]).is_ok(), "{sub:?} {flag} 3");
             }
-            other => panic!("unexpected {other:?}"),
         }
-        // A streamed replay decodes inline: only --gvprof takes a pool.
-        let err = parse_args(["replay", "t.vex", "--decode-threads", "8"]).unwrap_err();
-        assert!(err.0.contains("only applies to --gvprof"), "{err:?}");
-        let err = parse_args(["diff", "a.vex", "b.vex", "--decode-threads", "2"]).unwrap_err();
-        assert!(err.0.contains("unknown flag"), "{err:?}");
-        // Invalid values: zero, garbage, missing.
-        for sub in [["replay", "t.vex"], ["serve", "traces"]] {
-            let base = sub.to_vec();
-            let err =
-                parse_args(base.iter().copied().chain(["--decode-threads", "0"])).unwrap_err();
-            assert!(err.0.contains("at least 1"), "{err:?}");
-            let err = parse_args(base.iter().copied().chain(["--decode-threads", "many"]))
-                .unwrap_err();
-            assert!(err.0.contains("invalid decode thread count"), "{err:?}");
-            assert!(parse_args(base.iter().copied().chain(["--decode-threads"])).is_err());
-        }
-        assert!(USAGE.contains("--decode-threads"), "{USAGE}");
     }
 
     #[test]
@@ -2395,8 +2343,9 @@ mod tests {
         assert!(s.contains("fine records:"), "{s}");
         assert!(s.contains("compression ratio:"), "{s}");
 
-        // The counts agree with the streaming summary API.
-        let summary = vex_trace::summary::summarize_file(std::path::Path::new(&trace)).unwrap();
+        // The counts agree with the index scan.
+        let summary =
+            vex_trace::index::index_trace_file(std::path::Path::new(&trace)).unwrap().summary;
         assert!(s.contains(&format!("fine records:          {}", summary.records)), "{s}");
         assert!(summary.records > 0, "fine recording produced records");
         // v2 columnar batches land well under the 32-byte fixed records.

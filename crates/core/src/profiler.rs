@@ -231,8 +231,8 @@ impl ProfilerBuilder {
     /// reuse/race worker, and a coarse replay worker as the enabled
     /// passes require. `0` — the default — runs the same pass bodies
     /// inline on the publishing thread. Reports are **byte-identical**
-    /// for every shard count; see [`crate::pipeline`] for the determinism
-    /// argument. Each shard is a thread: check a shard count that comes
+    /// for every shard count; the `pipeline` module docs give the
+    /// determinism argument. Each shard is a thread: check a shard count that comes
     /// from outside the program with [`check_analysis_params`].
     #[must_use]
     pub fn analysis_shards(mut self, shards: usize) -> Self {
@@ -258,10 +258,9 @@ impl ProfilerBuilder {
     }
 
     /// The [`DecodeOptions`] this builder implies for reading a trace it
-    /// will replay: its per-pass column projection, decoded on the
-    /// calling thread.
+    /// will replay: its per-pass column projection.
     pub fn decode_options(&self) -> DecodeOptions {
-        DecodeOptions { threads: 1, columns: self.required_columns() }
+        DecodeOptions { columns: self.required_columns() }
     }
 
     /// The analysis engine this configuration describes (`shards: 0`

@@ -84,7 +84,7 @@ impl CallPathRecorder {
         r
     }
 
-    /// Pushes a frame; prefer [`CallPathRecorder::scope`] where possible.
+    /// Pushes a frame; pair it with [`CallPathRecorder::pop`].
     pub fn push(&mut self, frame: Frame) {
         self.stack.push(frame);
     }

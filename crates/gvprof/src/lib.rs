@@ -20,7 +20,7 @@
 //! ValueExpert — a [`vex_trace::event::EventSource`] configured with
 //! GVProf's small buffer and every record shipped — so its traffic
 //! counters can be priced by
-//! [`vex_core::overhead::OverheadModel::gvprof_cost_us`], and a trace
+//! `vex_core::overhead::OverheadModel::gvprof_cost_us`, and a trace
 //! recorded by `vex record --fine` can be replayed through it offline
 //! ([`replay`]).
 
@@ -28,10 +28,12 @@
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
+use std::io::Read;
 use std::sync::Arc;
 use vex_gpu::hooks::LaunchInfo;
 use vex_gpu::runtime::Runtime;
-use vex_trace::container::RecordedTrace;
+use vex_trace::codec::DecodeError;
+use vex_trace::container::{TraceFrame, TraceReader};
 use vex_trace::event::{ColumnSet, Event, EventSink, EventSource, EventSourceConfig};
 use vex_trace::{AcceptAll, AccessRecord, CollectorStats};
 
@@ -244,11 +246,13 @@ impl EventSink for GvProf {
 pub const REPLAY_COLUMNS: ColumnSet =
     ColumnSet::ADDR.union(ColumnSet::BITS).union(ColumnSet::FLAGS).union(ColumnSet::BLOCK);
 
-/// Replaying a trace through GVProf failed before any analysis ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Replaying a trace through GVProf failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GvProfReplayError {
     /// The trace carries no access records.
     FineNotRecorded,
+    /// A frame of the trace failed to decode.
+    Decode(DecodeError),
 }
 
 impl std::fmt::Display for GvProfReplayError {
@@ -259,6 +263,7 @@ impl std::fmt::Display for GvProfReplayError {
                 "this trace has no access records; re-record with `vex record --fine` to replay \
                  it through the GVProf baseline"
             ),
+            GvProfReplayError::Decode(e) => write!(f, "{e}"),
         }
     }
 }
@@ -273,18 +278,25 @@ impl std::error::Error for GvProfReplayError {}
 /// (kernel and block period 1, as `vex record --fine` does by default);
 /// a sampled recording replays only what it kept.
 ///
+/// The trace streams through `reader` one frame at a time, decoded under
+/// [`REPLAY_COLUMNS`], so memory stays one batch plus the redundancy
+/// maps however long the trace.
+///
 /// # Errors
 ///
-/// [`GvProfReplayError::FineNotRecorded`] when the trace has no access
-/// records to analyze.
-pub fn replay(
-    trace: &RecordedTrace,
+/// [`GvProfReplayError::FineNotRecorded`] when the header declares no
+/// access records, before any frame is read;
+/// [`GvProfReplayError::Decode`] with the first bad frame's error — the
+/// one `read_trace_with` returns under [`REPLAY_COLUMNS`].
+pub fn replay<R: Read>(
+    mut reader: TraceReader<R>,
     kernel_period: u64,
     block_period: u32,
 ) -> Result<(BTreeMap<String, KernelRedundancy>, CollectorStats), GvProfReplayError> {
-    if !trace.flags.fine {
+    if !reader.flags().fine {
         return Err(GvProfReplayError::FineNotRecorded);
     }
+    reader.set_columns(REPLAY_COLUMNS);
     let kernel_period = kernel_period.max(1);
     let block_period = block_period.max(1);
     let profiler = GvProf { state: Mutex::new(State::default()) };
@@ -306,8 +318,9 @@ pub fn replay(
         let records = Arc::new(std::mem::take(buffer));
         profiler.on_event(&Event::Batch { info: info.clone(), records });
     }
-    for event in &trace.events {
-        match event {
+    while let Some(frame) = reader.next_frame().map_err(GvProfReplayError::Decode)? {
+        let TraceFrame::Event(event) = frame else { continue };
+        match &event {
             Event::LaunchBegin { info } => {
                 let c = counters.entry(info.kernel_name.clone()).or_insert(0);
                 let accept = c.is_multiple_of(kernel_period);

@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use vex_core::profiler::{ReplayError, ValueExpert};
 use vex_core::report::Profile;
 use vex_gpu::hooks::ApiKind;
-use vex_trace::container::{read_trace_file_with, DecodeOptions, RecordedTrace, TraceFrame};
+use vex_trace::container::{read_trace_file, RecordedTrace, TraceFrame};
 use vex_trace::event::Event;
 use vex_trace::index::{index_trace_with, FrameEntry, TraceIndex};
 use vex_trace::summary::TraceSummary;
@@ -211,11 +211,8 @@ impl std::fmt::Display for MutationError {
 impl std::error::Error for MutationError {}
 
 /// Load/serve knobs of a [`ProfileStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreOptions {
-    /// Worker threads decoding a trace's columnar batches when it is
-    /// materialized (1 = sequential decode).
-    pub decode_threads: usize,
     /// Upper bound on resident decoded bytes (`None` = unbounded).
     /// Least-recently-used decoded traces are evicted to stay under it;
     /// the trace currently being served is never evicted, so a single
@@ -230,12 +227,6 @@ pub struct StoreOptions {
     /// time would otherwise stay resident until enough *other* traffic
     /// pushes it out. Pinned traces are exempt.
     pub trace_ttl: Option<std::time::Duration>,
-}
-
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions { decode_threads: 1, memory_budget: None, strict: false, trace_ttl: None }
-    }
 }
 
 /// Gauges and counters of the two-tier store, rendered into `/metrics`.
@@ -526,8 +517,8 @@ impl ProfileStore {
     /// The decoded event stream of `id`, materializing it on first use.
     ///
     /// A resident trace is returned immediately (and its LRU tick
-    /// bumped). A cold one is decoded from its backing file through the
-    /// projected/parallel [`read_trace_file_with`] path, inserted into
+    /// bumped). A cold one is decoded from its backing file in full
+    /// ([`read_trace_file`]), inserted into
     /// the decoded tier, and the tier is evicted down to the memory
     /// budget — never evicting the trace just requested.
     ///
@@ -552,10 +543,8 @@ impl ProfileStore {
             // concurrently.
             StoreError(format!("trace '{id}' is gone"))
         })?;
-        let opts =
-            DecodeOptions { threads: self.opts.decode_threads, ..DecodeOptions::default() };
         let trace = Arc::new(
-            read_trace_file_with(path, &opts)
+            read_trace_file(path)
                 .map_err(|e| StoreError(format!("cannot decode {}: {e}", path.display())))?,
         );
         self.stats.decodes_total.fetch_add(1, Ordering::Relaxed);
@@ -982,9 +971,9 @@ fn approx_resident_bytes(trace: &RecordedTrace) -> u64 {
     total
 }
 
-/// A [`TraceSummary`] over an already-decoded trace (the streaming
-/// variant in `vex_trace::summary` serves `vex info`; the index scan in
-/// [`vex_trace::index`] serves disk-backed loading).
+/// A [`TraceSummary`] over an already-decoded trace with no backing
+/// bytes (disk-backed loading and `vex info` take theirs from the index
+/// scan in [`vex_trace::index`]).
 fn summarize_decoded(trace: &RecordedTrace) -> TraceSummary {
     let mut s = TraceSummary {
         version: trace.version,

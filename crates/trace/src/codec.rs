@@ -497,7 +497,7 @@ fn flush_column(out: &mut Vec<u8>, col: &mut Vec<u8>) {
 ///
 /// # Panics
 ///
-/// If the batch holds more than [`MAX_BATCH_RECORDS`] records — far
+/// If the batch holds more than 2^24 records (`MAX_BATCH_RECORDS`) — far
 /// beyond any collector flush; split such batches before encoding.
 pub fn encode_columnar_batch(records: &[AccessRecord]) -> Vec<u8> {
     assert!(

@@ -917,23 +917,9 @@ pub struct TraceReader<R: Read> {
     /// accumulates the counts instead.
     skip_records: bool,
     records_scanned: u64,
-    /// Columns inline columnar batch decode materializes; see
+    /// Columns columnar batch decode materializes; see
     /// [`TraceReader::set_columns`].
     columns: ColumnSet,
-    /// When set, columnar batch frames are not decoded inline: their
-    /// payloads queue in `deferred` (in stream order) and the `Batch`
-    /// event arrives with an empty record vector for the caller to
-    /// backfill after decoding the queue — the parallel decode path.
-    defer_columnar: bool,
-    deferred: Vec<DeferredColumnar>,
-}
-
-/// One columnar batch payload queued by a deferring [`TraceReader`]:
-/// everything after the launch-id varint, plus the frame offset for
-/// error reporting.
-struct DeferredColumnar {
-    offset: u64,
-    payload: Vec<u8>,
 }
 
 impl<R: Read> std::fmt::Debug for TraceReader<R> {
@@ -988,8 +974,6 @@ impl<R: Read> TraceReader<R> {
             skip_records: false,
             records_scanned: 0,
             columns: ColumnSet::ALL,
-            defer_columnar: false,
-            deferred: Vec::new(),
         })
     }
 
@@ -1026,9 +1010,8 @@ impl<R: Read> TraceReader<R> {
         self.skip_records = skip;
     }
 
-    /// Projects inline columnar batch decode onto `columns`, exactly as
-    /// [`read_trace_with`] projects its worker-pool decode: undemanded
-    /// fields of the `Batch` records come back zero-filled. Under
+    /// Projects columnar batch decode onto `columns`: undemanded fields
+    /// of the `Batch` records come back zero-filled. Under
     /// [`ColumnSet::NONE`] columnar batches take the skip-records walk
     /// instead — the structural checks, and errors, of
     /// `decode_columnar_batch_projected(_, NONE)` — and their `Batch`
@@ -1050,25 +1033,6 @@ impl<R: Read> TraceReader<R> {
     /// byte extents — the basis of [`crate::index::TraceIndex`].
     pub fn offset(&self) -> u64 {
         self.offset
-    }
-
-    /// Switches the reader into deferred mode: columnar batch payloads
-    /// queue internally instead of decoding inline, and their `Batch`
-    /// events arrive with empty record vectors. [`read_trace_with`]
-    /// drains the queue onto a worker pool and backfills the events in
-    /// stream order.
-    fn set_defer_columnar(&mut self, defer: bool) {
-        self.defer_columnar = defer;
-    }
-
-    /// Columnar batches deferred so far.
-    fn deferred_len(&self) -> usize {
-        self.deferred.len()
-    }
-
-    /// Takes the deferred batch queue (stream order).
-    fn take_deferred(&mut self) -> Vec<DeferredColumnar> {
-        std::mem::take(&mut self.deferred)
     }
 
     /// Decodes the next frame; `Ok(None)` at a clean end of stream
@@ -1239,19 +1203,6 @@ impl<R: Read> TraceReader<R> {
                 if self.skip_records || self.columns.is_empty() {
                     let count = codec::scan_columnar_batch(&payload[pos..]).map_err(bad)?;
                     self.records_scanned += count;
-                    return Ok(Some(TraceFrame::Event(Event::Batch {
-                        info,
-                        records: Arc::new(Vec::new()),
-                    })));
-                }
-                if self.defer_columnar {
-                    // Batch payloads are self-contained after the
-                    // launch-id varint: queue the block for the worker
-                    // pool and emit a placeholder to keep stream order.
-                    self.deferred.push(DeferredColumnar {
-                        offset: frame_offset,
-                        payload: payload[pos..].to_vec(),
-                    });
                     return Ok(Some(TraceFrame::Event(Event::Batch {
                         info,
                         records: Arc::new(Vec::new()),
@@ -1507,12 +1458,75 @@ impl RecordedTrace {
 /// Any [`DecodeError`]; a trace without its `Finish` trailer is
 /// [`DecodeError::TruncatedFrame`].
 pub fn read_trace(bytes: &[u8]) -> Result<RecordedTrace, DecodeError> {
+    read_trace_with(bytes, &DecodeOptions::default())
+}
+
+/// Reads and decodes a trace file.
+///
+/// # Errors
+///
+/// [`DecodeError::Io`] if the file cannot be read, otherwise as
+/// [`read_trace`].
+pub fn read_trace_file(path: &std::path::Path) -> Result<RecordedTrace, DecodeError> {
+    let bytes = std::fs::read(path)?;
+    read_trace(&bytes)
+}
+
+/// Options for [`read_trace_with`]: which record columns to
+/// materialize. The default ([`ColumnSet::ALL`]) is exactly
+/// [`read_trace`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecodeOptions {
+    /// Columns to materialize from each batch; undemanded columns come
+    /// back zero-filled in the [`Event::Batch`] records. Projection
+    /// preserves report byte-identity for any consumer that only reads
+    /// the columns it declares (`ProfilerBuilder::required_columns`,
+    /// `vex_gvprof::REPLAY_COLUMNS`).
+    pub columns: ColumnSet,
+}
+
+impl Default for DecodeOptions {
+    fn default() -> Self {
+        DecodeOptions { columns: ColumnSet::ALL }
+    }
+}
+
+/// Decodes a complete trace through one [`TraceReader`], projecting its
+/// columnar batch frames onto `opts.columns`.
+///
+/// Every materialized `Batch` carries one record per encoded record,
+/// whatever the projection: under [`ColumnSet::NONE`] the reader only
+/// counts a columnar batch's records, and this fills the batch with that
+/// many all-zero records.
+///
+/// # Errors
+///
+/// The first [`DecodeError`] of the stream, as [`TraceReader::next_frame`]
+/// reports it under the same projection.
+pub fn read_trace_with(
+    bytes: &[u8],
+    opts: &DecodeOptions,
+) -> Result<RecordedTrace, DecodeError> {
     let mut reader = TraceReader::new(bytes)?;
+    reader.set_columns(opts.columns);
     let mut events = Vec::new();
     let mut contexts = BTreeMap::new();
     let mut trailer = None;
-    while let Some(frame) = reader.next_frame()? {
+    loop {
+        let scanned = reader.records_scanned();
+        let Some(frame) = reader.next_frame()? else { break };
         match frame {
+            TraceFrame::Event(Event::Batch { info, .. })
+                if reader.records_scanned() > scanned =>
+            {
+                let count = (reader.records_scanned() - scanned) as usize;
+                let zeros = codec::DecodedBatch {
+                    count,
+                    columns: ColumnSet::NONE,
+                    ..Default::default()
+                };
+                events.push(Event::Batch { info, records: Arc::new(zeros.into_records()) });
+            }
             TraceFrame::Event(e) => events.push(e),
             TraceFrame::Contexts(map) => contexts = map,
             TraceFrame::Finish { stats, app_us } => trailer = Some((stats, app_us)),
@@ -1529,171 +1543,6 @@ pub fn read_trace(bytes: &[u8]) -> Result<RecordedTrace, DecodeError> {
         stats,
         app_us,
     })
-}
-
-/// Reads and decodes a trace file.
-///
-/// # Errors
-///
-/// [`DecodeError::Io`] if the file cannot be read, otherwise as
-/// [`read_trace`].
-pub fn read_trace_file(path: &std::path::Path) -> Result<RecordedTrace, DecodeError> {
-    let bytes = std::fs::read(path)?;
-    read_trace(&bytes)
-}
-
-/// Options for [`read_trace_with`]: how many worker threads decode the
-/// v2 columnar batch frames, and which record columns to materialize.
-/// The default (`threads: 1`, [`ColumnSet::ALL`]) is exactly
-/// [`read_trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodeOptions {
-    /// Worker threads decoding columnar batches. Values ≤ 1 decode on
-    /// the calling thread.
-    pub threads: usize,
-    /// Columns to materialize from each batch; undemanded columns come
-    /// back zero-filled in the [`Event::Batch`] records. Projection
-    /// preserves report byte-identity for any consumer that only reads
-    /// the columns it declares (`ProfilerBuilder::required_columns`,
-    /// `vex_gvprof::REPLAY_COLUMNS`).
-    pub columns: ColumnSet,
-}
-
-impl Default for DecodeOptions {
-    fn default() -> Self {
-        DecodeOptions { threads: 1, columns: ColumnSet::ALL }
-    }
-}
-
-/// Decodes a complete trace, optionally decoding columnar batch frames
-/// on a bounded worker pool and/or projecting them onto a [`ColumnSet`].
-///
-/// The frame walk itself stays sequential (launch references resolve
-/// against earlier frames), but each v2 columnar batch payload is an
-/// independent unit: in parallel mode the walk queues payloads and
-/// emits placeholder events, a scoped worker pool decodes the queue
-/// concurrently, and the results are backfilled in original stream
-/// order — the returned [`RecordedTrace`] is indistinguishable from a
-/// sequential decode, down to the `Arc<LaunchInfo>` identities events
-/// share.
-///
-/// # Errors
-///
-/// Any [`DecodeError`], identical to the sequential reader's: when both
-/// the walk and a batch decode fail, the error of the earliest frame in
-/// the stream wins (a corrupt batch always precedes any walk error,
-/// since the walk stops at its own first failure).
-pub fn read_trace_with(
-    bytes: &[u8],
-    opts: &DecodeOptions,
-) -> Result<RecordedTrace, DecodeError> {
-    if opts.threads <= 1 && opts.columns == ColumnSet::ALL {
-        return read_trace(bytes);
-    }
-    let mut reader = TraceReader::new(bytes)?;
-    reader.set_defer_columnar(true);
-    let mut events = Vec::new();
-    let mut contexts = BTreeMap::new();
-    let mut trailer = None;
-    // Event index of the k-th deferred batch (each frame defers at most
-    // one batch, so growth of the queue tags the event just pushed).
-    let mut batch_events: Vec<usize> = Vec::new();
-    let mut walk_error = None;
-    loop {
-        match reader.next_frame() {
-            Ok(Some(TraceFrame::Event(e))) => {
-                events.push(e);
-                if reader.deferred_len() > batch_events.len() {
-                    batch_events.push(events.len() - 1);
-                }
-            }
-            Ok(Some(TraceFrame::Contexts(map))) => contexts = map,
-            Ok(Some(TraceFrame::Finish { stats, app_us })) => trailer = Some((stats, app_us)),
-            Ok(None) => break,
-            Err(e) => {
-                walk_error = Some(e);
-                break;
-            }
-        }
-    }
-
-    let work = reader.take_deferred();
-    debug_assert_eq!(work.len(), batch_events.len());
-    let columns = opts.columns;
-    let mut slots: Vec<Option<Result<Vec<AccessRecord>, DecodeError>>> =
-        (0..work.len()).map(|_| None).collect();
-    if !work.is_empty() {
-        let threads = opts.threads.max(1).min(work.len());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(d) = work.get(i) else { break };
-                            let r = codec::decode_columnar_batch_projected(&d.payload, columns)
-                                .map(codec::DecodedBatch::into_records)
-                                .map_err(|what| DecodeError::BadFrame {
-                                    kind: FRAME_BATCH_COLUMNAR,
-                                    offset: d.offset,
-                                    what,
-                                });
-                            out.push((i, r));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("decode worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
-    }
-    // Batches queue in stream order, so the first failed slot is the
-    // earliest bad frame; it outranks any walk error, which necessarily
-    // sits at a later offset.
-    let mut decoded = Vec::with_capacity(slots.len());
-    for slot in slots {
-        decoded.push(slot.expect("worker pool covers every deferred batch")?);
-    }
-    if let Some(e) = walk_error {
-        return Err(e);
-    }
-    for (k, recs) in decoded.into_iter().enumerate() {
-        if let Event::Batch { records, .. } = &mut events[batch_events[k]] {
-            *records = Arc::new(recs);
-        }
-    }
-
-    let (stats, app_us) = trailer.expect("reader yields None only after Finish");
-    Ok(RecordedTrace {
-        version: reader.version(),
-        spec: reader.spec().clone(),
-        flags: reader.flags(),
-        batch_bytes: reader.batch_bytes(),
-        events,
-        contexts,
-        stats,
-        app_us,
-    })
-}
-
-/// Reads and decodes a trace file with [`DecodeOptions`].
-///
-/// # Errors
-///
-/// [`DecodeError::Io`] if the file cannot be read, otherwise as
-/// [`read_trace_with`].
-pub fn read_trace_file_with(
-    path: &std::path::Path,
-    opts: &DecodeOptions,
-) -> Result<RecordedTrace, DecodeError> {
-    let bytes = std::fs::read(path)?;
-    read_trace_with(&bytes, opts)
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ const COALESCE_WINDOW: usize = 8;
 ///
 /// Accesses arrive warp-by-warp (the simulator executes a warp at a
 /// time). Each new interval of the current warp is merged on arrival into
-/// one of the last [`COALESCE_WINDOW`] pending intervals of its direction
+/// one of the last 8 (`COALESCE_WINDOW`) pending intervals of its direction
 /// that it overlaps or touches, and appended only when none does; a warp
 /// change sorts and sweeps the few pending intervals straight into
 /// `reads`/`writes`. Merging two mergeable intervals into their union

@@ -8,9 +8,9 @@
 //! frame is validated structurally and its byte extent recorded, but no
 //! access record is materialized, so indexing costs encoded (compressed)
 //! bytes instead of record count. The result pairs a full
-//! [`TraceSummary`] with per-frame byte offsets; a later full decode
-//! goes through the unchanged
-//! [`crate::container::read_trace_file_with`] path.
+//! [`TraceSummary`] — this scan is the only place summaries are
+//! computed — with per-frame byte offsets; a later full decode goes
+//! through [`crate::container::read_trace_file`].
 //!
 //! [`index_trace_with`] additionally yields each scanned frame to a
 //! visitor, so a caller can fold its own per-trace views (object
@@ -207,7 +207,6 @@ mod tests {
     use super::*;
     use crate::container::{read_trace, TraceFlags, TraceWriter};
     use crate::event::EventSink;
-    use crate::summary::summarize;
     use crate::{AccessRecord, CollectorStats};
     use std::sync::Arc;
     use vex_gpu::alloc::AllocationInfo;
@@ -290,7 +289,19 @@ mod tests {
     fn index_summary_matches_streaming_summary() {
         let bytes = sample_trace_bytes();
         let index = index_trace(&bytes[..]).unwrap();
-        assert_eq!(index.summary, summarize(&bytes[..]).unwrap());
+        let trace = read_trace(&bytes).unwrap();
+        let batches: Vec<u64> = trace
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Batch { records, .. } => Some(records.len() as u64),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(index.summary.batches, batches.len() as u64);
+        assert_eq!(index.summary.records, batches.iter().sum::<u64>());
+        assert_eq!(index.summary.batch_bytes, trace.batch_bytes);
+        assert_eq!(index.summary.stats, trace.stats);
         assert_eq!(index.encoded_bytes, bytes.len() as u64);
         assert!(index.decoded_bytes_estimate() >= index.summary.records * 32);
     }

@@ -1,20 +1,17 @@
-//! Streaming trace summaries: header fields and per-event-type counts
-//! without materializing the event stream.
+//! Trace summaries: header fields and per-event-type counts without
+//! materializing the event stream.
 //!
-//! `vex info` prints a [`TraceSummary`], and `vex-serve` indexes every
-//! trace of its store with one. Summarizing walks each frame exactly
-//! once through [`TraceReader`] in skip-records scan mode and keeps
-//! only counters: batch frames are validated structurally but never
-//! expanded into access records, so the cost tracks the encoded
-//! (compressed) trace size rather than the record count, and it works
-//! on traces far larger than memory would allow for a full
-//! [`crate::container::RecordedTrace`].
+//! `vex info` prints a [`TraceSummary`], and `vex-serve` lists every
+//! trace of its store with one. The summary comes out of the index scan
+//! ([`crate::index::index_trace`]), which walks each frame exactly once
+//! in skip-records mode and keeps only counters and frame extents: batch
+//! frames are validated structurally but never expanded into access
+//! records, so the cost tracks the encoded (compressed) trace size
+//! rather than the record count, and it works on traces far larger than
+//! memory would allow for a full [`crate::container::RecordedTrace`].
 
-use crate::codec::DecodeError;
-use crate::container::{TraceFlags, TraceFrame, TraceReader};
+use crate::container::TraceFlags;
 use crate::CollectorStats;
-use std::io::Read;
-use vex_gpu::hooks::ApiKind;
 
 /// Header fields and per-event-type counts of one `.vex` trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -48,72 +45,19 @@ pub struct TraceSummary {
     pub app_us: f64,
 }
 
-/// Summarizes a complete trace stream.
-///
-/// # Errors
-///
-/// Any [`DecodeError`] the reader surfaces; a trace without its `Finish`
-/// trailer is [`DecodeError::TruncatedFrame`].
-pub fn summarize<R: Read>(input: R) -> Result<TraceSummary, DecodeError> {
-    let mut reader = TraceReader::new(input)?;
-    // Scan mode: batch frames are validated structurally and counted,
-    // but no access record is materialized, so summarizing costs
-    // encoded (compressed) bytes, not records.
-    reader.set_skip_records(true);
-    let mut s = TraceSummary {
-        version: reader.version(),
-        flags: reader.flags(),
-        device: reader.spec().name.clone(),
-        ..TraceSummary::default()
-    };
-    while let Some(frame) = reader.next_frame()? {
-        match frame {
-            TraceFrame::Event(event) => match event {
-                crate::event::Event::Api { event, .. } => {
-                    s.api_events += 1;
-                    if matches!(event.kind, ApiKind::KernelLaunch { .. }) {
-                        s.kernel_launches += 1;
-                    }
-                }
-                crate::event::Event::LaunchBegin { .. } => s.instrumented_launches += 1,
-                crate::event::Event::SkippedLaunch { .. } => s.skipped_launches += 1,
-                crate::event::Event::Batch { .. } => s.batches += 1,
-                crate::event::Event::LaunchEnd { .. } => {}
-            },
-            TraceFrame::Contexts(map) => s.contexts = map.len() as u64,
-            TraceFrame::Finish { stats, app_us } => {
-                s.stats = stats;
-                s.app_us = app_us;
-            }
-        }
-    }
-    s.records = reader.records_scanned();
-    s.batch_bytes = reader.batch_bytes();
-    Ok(s)
-}
-
-/// Summarizes a trace file.
-///
-/// # Errors
-///
-/// [`DecodeError::Io`] if the file cannot be opened, otherwise as
-/// [`summarize`].
-pub fn summarize_file(path: &std::path::Path) -> Result<TraceSummary, DecodeError> {
-    let file = std::fs::File::open(path)?;
-    summarize(std::io::BufReader::new(file))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::DecodeError;
     use crate::container::{read_trace, TraceWriter};
     use crate::event::{Event, EventSink};
+    use crate::index::index_trace;
     use crate::AccessRecord;
     use std::sync::Arc;
     use vex_gpu::alloc::AllocationInfo;
     use vex_gpu::callpath::CallPathId;
     use vex_gpu::dim::Dim3;
-    use vex_gpu::hooks::{ApiEvent, CapturedView, LaunchId, LaunchInfo};
+    use vex_gpu::hooks::{ApiEvent, ApiKind, CapturedView, LaunchId, LaunchInfo};
     use vex_gpu::ir::{InstrTableBuilder, MemSpace, Pc, ScalarType};
     use vex_gpu::stream::StreamId;
     use vex_gpu::timing::DeviceSpec;
@@ -145,6 +89,10 @@ mod tests {
             thread: i as u32,
             is_atomic: false,
         }
+    }
+
+    fn summarize(bytes: &[u8]) -> Result<TraceSummary, DecodeError> {
+        index_trace(bytes).map(|index| index.summary)
     }
 
     fn sample_trace_bytes() -> Vec<u8> {

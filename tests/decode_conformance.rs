@@ -1,22 +1,20 @@
-//! Decode-conformance suite for the parallel + projected columnar
-//! decode path.
+//! Decode-conformance suite for the projected columnar decode path.
 //!
-//! The v2 container's batch frames are independent decode units, so
-//! [`read_trace_with`] may decode them on a worker pool and/or project
-//! them onto a [`ColumnSet`]. This suite pins the conformance contract:
+//! Every decode goes through one [`TraceReader`], which may project the
+//! v2 container's batch frames onto a [`ColumnSet`]. This suite pins
+//! the conformance contract:
 //!
-//! * any thread count reconstructs exactly the sequential decode
-//!   ([`read_trace`]) — same events, same records, same trailer;
-//! * any projection reconstructs the demanded columns exactly and
-//!   zero-fills the rest;
+//! * any projection ([`read_trace_with`]) reconstructs the demanded
+//!   columns exactly and zero-fills the rest, one row per record even
+//!   under [`ColumnSet::NONE`];
 //! * corrupt or truncated batches mid-stream surface the *same*
-//!   [`DecodeError`] the sequential reader reports, at every thread
-//!   count, with no hang and no partially-decoded trace leaking out;
-//! * the streaming path — [`TraceReader::set_columns`] +
-//!   [`TraceReader::dispatch`], and [`ProfilerBuilder::replay_reader`]
-//!   on top — yields the same events and fails with the same error as
-//!   [`read_trace_with`] under the same projection, and never panics on
-//!   corrupt input;
+//!   [`DecodeError`] the full decode ([`read_trace`]) reports, under
+//!   every projection, with no partially-decoded trace leaking out;
+//! * the streaming paths — [`TraceReader::set_columns`] +
+//!   [`TraceReader::dispatch`], [`ProfilerBuilder::replay_reader`] and
+//!   `vex_gvprof::replay` on top — yield the same events and fail with
+//!   the same error as [`read_trace_with`] under the same projection,
+//!   keep launch identity, and never panic on corrupt input;
 //! * a trace whose captures miss bytes the coarse pass needs fails with
 //!   an error on every replay path, the CLI included.
 
@@ -33,6 +31,7 @@ use vex_gpu::hooks::{LaunchId, LaunchInfo};
 use vex_gpu::ir::{InstrTableBuilder, MemSpace, Pc, ScalarType};
 use vex_gpu::stream::StreamId;
 use vex_gpu::timing::DeviceSpec;
+use vex_gvprof::GvProfReplayError;
 use vex_trace::codec::{self, ColumnSet, DecodedBatch};
 use vex_trace::container::{
     read_trace, read_trace_with, DecodeOptions, RecordedTrace, TraceFlags, TraceReader,
@@ -43,11 +42,6 @@ use vex_trace::{AccessRecord, CollectorStats};
 
 /// Frame kind byte of v2 columnar batches (container layout, DESIGN.md §10).
 const FRAME_BATCH_COLUMNAR: u8 = 8;
-
-/// Thread counts every conformance check runs at. 1 exercises the
-/// worker-pool path on the calling thread (combined with a projection);
-/// 2 and 8 exercise real concurrency and oversubscription.
-const THREADS: [usize; 3] = [1, 2, 8];
 
 fn launch_info(id: u64) -> Arc<LaunchInfo> {
     let table = InstrTableBuilder::new()
@@ -196,22 +190,18 @@ fn replay_builders() -> Vec<ProfilerBuilder> {
 }
 
 /// Asserts that decoding `bytes` fails identically — same
-/// [`vex_trace::codec::DecodeError`] value — sequentially and at every
-/// worker-pool thread count, under full and empty projections; and that
-/// the streaming path fails with `read_trace_with`'s error under every
-/// projection, alone and inside a streamed replay.
+/// [`vex_trace::codec::DecodeError`] value — in full and under the empty
+/// projection; and that the streaming path fails with
+/// `read_trace_with`'s error under every projection, alone and inside a
+/// streamed ValueExpert or GVProf replay.
 fn assert_identical_decode_error(bytes: &[u8], expect_contains: &str) {
-    let seq = read_trace(bytes).expect_err("sequential decode fails");
-    assert!(seq.to_string().contains(expect_contains), "unexpected sequential error: {seq}");
-    for threads in THREADS {
-        for columns in [ColumnSet::ALL, ColumnSet::NONE] {
-            let got = read_trace_with(bytes, &DecodeOptions { threads, columns })
-                .expect_err("worker-pool decode fails");
-            assert_eq!(seq, got, "error diverged at {threads} threads, columns {columns:?}");
-        }
-    }
+    let full = read_trace(bytes).expect_err("full decode fails");
+    assert!(full.to_string().contains(expect_contains), "unexpected error: {full}");
+    let none = read_trace_with(bytes, &DecodeOptions { columns: ColumnSet::NONE })
+        .expect_err("empty projection fails");
+    assert_eq!(full, none, "error diverged under the empty projection");
     for columns in projections() {
-        let want = read_trace_with(bytes, &DecodeOptions { threads: 1, columns })
+        let want = read_trace_with(bytes, &DecodeOptions { columns })
             .expect_err("projected decode fails");
         let got = stream(bytes, columns).1.expect_err("stream fails");
         assert_eq!(want, got, "stream error diverged: {columns:?}");
@@ -228,6 +218,11 @@ fn assert_identical_decode_error(bytes: &[u8], expect_contains: &str) {
             "streamed replay error diverged: {columns:?}"
         );
     }
+    let want = read_trace_with(bytes, &DecodeOptions { columns: vex_gvprof::REPLAY_COLUMNS })
+        .expect_err("GVProf projection fails");
+    let reader = TraceReader::new(bytes).expect("header is intact");
+    let got = vex_gvprof::replay(reader, 1, 1).expect_err("streamed GVProf replay fails");
+    assert_eq!(GvProfReplayError::Decode(want), got, "streamed GVProf error diverged");
 }
 
 /// Field-by-field comparison of a projected record against the fully
@@ -278,8 +273,8 @@ fn projections() -> Vec<ColumnSet> {
 // Projection conformance
 // ---------------------------------------------------------------------------
 
-/// Every projection, at every thread count, reconstructs the demanded
-/// columns of every batch exactly and zero-fills the rest.
+/// Every projection reconstructs the demanded columns of every batch
+/// exactly and zero-fills the rest.
 #[test]
 fn every_projection_reconstructs_demanded_columns() {
     let batches: Vec<Vec<AccessRecord>> = vec![
@@ -289,22 +284,20 @@ fn every_projection_reconstructs_demanded_columns() {
         (450..451).map(varied_record).collect(),
     ];
     let bytes = write_trace(&batches);
-    let full = read_trace(&bytes).expect("sequential decode");
+    let full = read_trace(&bytes).expect("full decode");
     for cols in projections() {
-        for threads in THREADS {
-            let got = read_trace_with(&bytes, &DecodeOptions { threads, columns: cols })
-                .unwrap_or_else(|e| panic!("decode at {threads} threads, {cols:?}: {e}"));
-            assert_eq!(event_kinds(&full), event_kinds(&got));
-            assert_eq!(got.stats, full.stats);
-            assert_eq!(got.app_us, full.app_us);
-            let full_batches = batch_records(&full);
-            let got_batches = batch_records(&got);
-            assert_eq!(full_batches.len(), got_batches.len());
-            for (fb, gb) in full_batches.iter().zip(&got_batches) {
-                assert_eq!(fb.len(), gb.len(), "batch length diverged under {cols:?}");
-                for (fr, gr) in fb.iter().zip(gb) {
-                    assert_projected_record(fr, gr, cols);
-                }
+        let got = read_trace_with(&bytes, &DecodeOptions { columns: cols })
+            .unwrap_or_else(|e| panic!("decode under {cols:?}: {e}"));
+        assert_eq!(event_kinds(&full), event_kinds(&got));
+        assert_eq!(got.stats, full.stats);
+        assert_eq!(got.app_us, full.app_us);
+        let full_batches = batch_records(&full);
+        let got_batches = batch_records(&got);
+        assert_eq!(full_batches.len(), got_batches.len());
+        for (fb, gb) in full_batches.iter().zip(&got_batches) {
+            assert_eq!(fb.len(), gb.len(), "batch length diverged under {cols:?}");
+            for (fr, gr) in fb.iter().zip(gb) {
+                assert_projected_record(fr, gr, cols);
             }
         }
     }
@@ -322,7 +315,7 @@ fn streaming_matches_projected_decode() {
     ];
     let bytes = write_trace(&batches);
     for cols in projections() {
-        let want = read_trace_with(&bytes, &DecodeOptions { threads: 1, columns: cols })
+        let want = read_trace_with(&bytes, &DecodeOptions { columns: cols })
             .expect("projected decode");
         let (events, tail) = stream(&bytes, cols);
         let tail = tail.expect("stream decodes");
@@ -393,7 +386,45 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel-decode conformance
+// Launch identity
+// ---------------------------------------------------------------------------
+
+/// Asserts that every batch/end event shares the `Arc<LaunchInfo>` of
+/// its launch's begin event.
+fn assert_launch_identity(events: &[Event]) {
+    let mut current: Option<Arc<LaunchInfo>> = None;
+    for event in events {
+        match event {
+            Event::LaunchBegin { info } => current = Some(info.clone()),
+            Event::Batch { info, .. } | Event::LaunchEnd { info } => {
+                let begin = current.as_ref().expect("begin precedes batch/end");
+                assert!(Arc::ptr_eq(begin, info), "launch Arc identity lost");
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The reader hands a launch's begin, batch and end events one shared
+/// `Arc<LaunchInfo>`, materialized or streamed, under the full and the
+/// GVProf projection — the GVProf replayer matches batches to launches
+/// by pointer.
+#[test]
+fn decode_preserves_launch_identity() {
+    let batches: Vec<Vec<AccessRecord>> =
+        (0..3).map(|k| (k * 10..k * 10 + 10).map(varied_record).collect()).collect();
+    let bytes = write_trace(&batches);
+    for columns in [ColumnSet::ALL, vex_gvprof::REPLAY_COLUMNS] {
+        let trace = read_trace_with(&bytes, &DecodeOptions { columns }).expect("trace decodes");
+        assert_launch_identity(&trace.events);
+        let (events, tail) = stream(&bytes, columns);
+        tail.expect("stream decodes");
+        assert_launch_identity(&events);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Corruption conformance
 // ---------------------------------------------------------------------------
 
 fn arb_record() -> impl Strategy<Value = AccessRecord> {
@@ -423,62 +454,9 @@ fn arb_record() -> impl Strategy<Value = AccessRecord> {
         })
 }
 
-// Arbitrary event streams round-trip through the container and decode
-// identically on the worker pool at every thread count.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-    #[test]
-    fn prop_parallel_decode_matches_sequential(
-        batches in prop::collection::vec(prop::collection::vec(arb_record(), 0..60), 0..6),
-    ) {
-        let bytes = write_trace(&batches);
-        let seq = read_trace(&bytes).expect("sequential decode");
-        prop_assert_eq!(batch_records(&seq).as_slice(), batches.as_slice());
-        for threads in THREADS {
-            let got = read_trace_with(
-                &bytes,
-                &DecodeOptions { threads, columns: ColumnSet::ALL },
-            )
-            .expect("parallel decode");
-            prop_assert_eq!(event_kinds(&seq), event_kinds(&got));
-            prop_assert_eq!(batch_records(&seq), batch_records(&got));
-            prop_assert_eq!(seq.stats, got.stats);
-            prop_assert_eq!(seq.app_us, got.app_us);
-            prop_assert_eq!(seq.batch_bytes, got.batch_bytes);
-        }
-    }
-}
-
-/// Parallel decode preserves `Arc<LaunchInfo>` identity between a
-/// launch's begin/batch/end events — the GVProf replayer matches
-/// batches to launches by pointer.
-#[test]
-fn parallel_decode_preserves_launch_identity() {
-    let batches: Vec<Vec<AccessRecord>> =
-        (0..3).map(|k| (k * 10..k * 10 + 10).map(varied_record).collect()).collect();
-    let bytes = write_trace(&batches);
-    let trace = read_trace_with(&bytes, &DecodeOptions { threads: 8, columns: ColumnSet::ALL })
-        .expect("parallel decode");
-    let mut current: Option<Arc<LaunchInfo>> = None;
-    for event in &trace.events {
-        match event {
-            Event::LaunchBegin { info } => current = Some(info.clone()),
-            Event::Batch { info, .. } | Event::LaunchEnd { info } => {
-                let begin = current.as_ref().expect("begin precedes batch/end");
-                assert!(Arc::ptr_eq(begin, info), "launch Arc identity lost");
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Corruption conformance
-// ---------------------------------------------------------------------------
-
 /// A mid-stream batch whose record count exceeds the limit fails with
-/// the sequential reader's exact error at every thread count — even
-/// under an empty projection (the count check is structural).
+/// the full decode's exact error under every projection — even the
+/// empty one (the count check is structural).
 #[test]
 fn oversized_count_mid_stream_fails_identically() {
     let batches: Vec<Vec<AccessRecord>> =
@@ -505,8 +483,8 @@ fn trailing_bytes_mid_stream_fail_identically() {
     assert_identical_decode_error(&corrupt, "trailing bytes after columnar batch");
 }
 
-/// A trace truncated inside a batch frame fails identically (the walk
-/// reports the cut; queued earlier batches never leak out half-decoded).
+/// A trace truncated inside a batch frame fails identically (the reader
+/// reports the cut; earlier batches never leak out half-decoded).
 #[test]
 fn truncation_mid_batch_fails_identically() {
     let batches: Vec<Vec<AccessRecord>> =
@@ -562,12 +540,13 @@ fn capture_gaps_fail_every_replay_path() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-// Corruption anywhere in a trace never panics or hangs the worker
-// pool: decode returns `Ok` or a clean error at every thread count.
+// Corruption anywhere in a trace never panics a streamed GVProf replay:
+// it fails exactly when the GVProf projection fails to decode, with the
+// same error.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
-    fn prop_corruption_never_panics_worker_pool(
+    fn prop_corruption_never_panics_gvprof_replay(
         batches in prop::collection::vec(prop::collection::vec(arb_record(), 1..30), 1..4),
         index in 0usize..1 << 16,
         value in any::<u8>(),
@@ -579,21 +558,20 @@ proptest! {
         if cut < 1 << 16 {
             bytes.truncate(cut % (bytes.len() + 1));
         }
-        let seq = read_trace(&bytes);
-        for threads in THREADS {
-            let got = read_trace_with(
-                &bytes,
-                &DecodeOptions { threads, columns: ColumnSet::ALL },
-            );
-            // Full projection on the pool must agree with the
-            // sequential reader, success or failure.
-            match (&seq, &got) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(batch_records(a), batch_records(b)),
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                _ => prop_assert!(false, "outcome diverged: {:?} vs {:?}",
-                    seq.as_ref().map(|_| ()), got.as_ref().map(|_| ())),
-            }
-        }
+        // A corrupt header fails before any replay starts.
+        let Ok(reader) = TraceReader::new(bytes.as_slice()) else {
+            return;
+        };
+        let fine = reader.flags().fine;
+        let got = vex_gvprof::replay(reader, 1, 1).map(|_| ());
+        let want = if fine {
+            read_trace_with(&bytes, &DecodeOptions { columns: vex_gvprof::REPLAY_COLUMNS })
+                .map(|_| ())
+                .map_err(GvProfReplayError::Decode)
+        } else {
+            Err(GvProfReplayError::FineNotRecorded)
+        };
+        prop_assert_eq!(want, got);
     }
 }
 

@@ -31,8 +31,8 @@ use vex_serve::{
     drain_spool, fault, push_or_spool, push_trace_with, ProfileStore, PushError, PushOptions,
     PushOutcome, Server, ServerConfig, StoreOptions,
 };
+use vex_trace::index::index_trace;
 use vex_trace::salvage::{repair_trace, salvage_trace};
-use vex_trace::summary::summarize;
 use vex_workloads::{apps::qmcpack::Qmcpack, Variant};
 
 /// A small QMCPACK trace; `walkers` varies the content and size.
@@ -129,7 +129,7 @@ fn killed_recording_salvages_and_repairs_at_any_cut() {
 
                 let (repaired, report) = repair_trace(prefix).expect("salvageable cut repairs");
                 assert_eq!(report.frames_recovered, s.report.frames_recovered);
-                summarize(&repaired[..])
+                index_trace(&repaired[..])
                     .unwrap_or_else(|e| panic!("cut {cut}: repaired container rejected: {e}"));
                 let healed = salvage_trace(&repaired).expect("repaired container salvages");
                 assert!(

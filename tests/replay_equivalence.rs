@@ -16,9 +16,7 @@ use vex_core::profiler::ProfilerBuilder;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
 use vex_gvprof::GvProfSession;
-use vex_trace::container::{
-    read_trace, read_trace_with, DecodeOptions, RecordedTrace, TraceReader,
-};
+use vex_trace::container::{read_trace, read_trace_with, RecordedTrace, TraceReader};
 use vex_workloads::{all_apps, GpuApp, Variant};
 
 /// Every byte-comparable rendering of a profile.
@@ -90,11 +88,10 @@ fn assert_replay_equivalent(
     (bytes, trace)
 }
 
-/// Records `app` once and checks that replaying from a *projected,
-/// parallel* decode — only the columns the configured passes declare,
-/// decoded on a worker pool — reproduces the full sequential decode's
-/// report byte-for-byte, under the inline engine and 1/8 pipeline
-/// shards.
+/// Records `app` once and checks that replaying from a *projected*
+/// decode — only the columns the configured passes declare — reproduces
+/// the full decode's report byte-for-byte, under the inline engine and
+/// 1/8 pipeline shards.
 fn assert_projected_replay_equivalent(
     app: &dyn GpuApp,
     make_builder: &dyn Fn() -> ProfilerBuilder,
@@ -108,7 +105,7 @@ fn assert_projected_replay_equivalent(
         let baseline = make_sharded()
             .replay(&full)
             .unwrap_or_else(|e| panic!("{}: full replay failed: {e}", app.name()));
-        let opts = DecodeOptions { threads: 8, ..make_sharded().decode_options() };
+        let opts = make_sharded().decode_options();
         let projected = read_trace_with(&bytes, &opts)
             .unwrap_or_else(|e| panic!("{}: projected decode failed: {e}", app.name()));
         let replayed = make_sharded()
@@ -274,13 +271,13 @@ fn gvprof_replay_matches_live_gvprof() {
         Variant::Baseline,
         ValueExpert::builder().coarse(false).fine(true),
     );
-    let trace = read_trace(&bytes).expect("trace decodes");
+    let reader = || TraceReader::new(bytes.as_slice()).expect("header decodes");
 
     {
         let mut rt = Runtime::new(spec.clone());
         let gv = GvProfSession::attach(&mut rt);
         app.run(&mut rt, Variant::Baseline).expect("workload runs");
-        let (results, stats) = vex_gvprof::replay(&trace, 1, 1).expect("gvprof replay");
+        let (results, stats) = vex_gvprof::replay(reader(), 1, 1).expect("gvprof replay");
         assert_eq!(results, gv.results(), "unsampled GVProf replay diverged");
         assert_eq!(stats, gv.collector_stats(), "unsampled GVProf traffic diverged");
     }
@@ -289,7 +286,8 @@ fn gvprof_replay_matches_live_gvprof() {
         let mut rt = Runtime::new(spec.clone());
         let gv = GvProfSession::attach_sampled(&mut rt, 4, 2);
         app.run(&mut rt, Variant::Baseline).expect("workload runs");
-        let (results, stats) = vex_gvprof::replay(&trace, 4, 2).expect("sampled gvprof replay");
+        let (results, stats) =
+            vex_gvprof::replay(reader(), 4, 2).expect("sampled gvprof replay");
         assert_eq!(results, gv.results(), "sampled GVProf replay diverged");
         assert_eq!(stats, gv.collector_stats(), "sampled GVProf traffic diverged");
     }
@@ -307,7 +305,7 @@ fn gvprof_replay_requires_fine_records() {
         Variant::Baseline,
         ValueExpert::builder().coarse(true).fine(false),
     );
-    let trace = read_trace(&bytes).expect("trace decodes");
-    let err = vex_gvprof::replay(&trace, 1, 1).unwrap_err();
+    let reader = TraceReader::new(bytes.as_slice()).expect("header decodes");
+    let err = vex_gvprof::replay(reader, 1, 1).unwrap_err();
     assert!(err.to_string().contains("--fine"), "{err}");
 }
