@@ -2,20 +2,21 @@
 //!
 //! Four measurements, all recorded into `results/serve_throughput.json`:
 //!
-//! * **Request throughput** — cold (every request materializes a report
-//!   through a full replay, `--cache-entries 0`) versus warm (served
+//! * **Request throughput** — cold (every request streams its trace
+//!   from disk and replays it, `--cache-entries 0`) versus warm (served
 //!   from the LRU report cache), asserting the cache is worth its
 //!   memory (warm ≥ 10× cold).
-//! * **Startup** — indexed (the two-tier store's skip-records scan)
-//!   versus eager (index plus decoding every trace, the pre-refactor
-//!   startup cost), asserting the indexed open is cheaper.
+//! * **Startup** — indexed (the store's skip-records scan) versus eager
+//!   (index plus `read_trace_file` of every trace), asserting the
+//!   indexed open is cheaper.
 //! * **Ingest rate** — pushes/s and MB/s through `POST /ingest/{id}`
 //!   against a `--ingest` server.
 //! * **Budget gate** — under `--memory-budget` sized to the largest
-//!   single trace, every report stays byte-identical to an unbounded
-//!   server while resident decoded bytes never exceed the budget even
-//!   though the whole corpus decodes to more. This is the CI assertion
-//!   that bounded memory does not change observable behavior.
+//!   single report body, every report stays byte-identical to an
+//!   unbounded server while the retained body bytes never exceed the
+//!   budget, though the corpus's bodies add up to more. This is the CI
+//!   assertion that bounded memory does not change observable
+//!   behavior.
 //!
 //! Run with `cargo bench --bench serve_throughput`.
 
@@ -31,7 +32,7 @@ use vex_gpu::timing::DeviceSpec;
 use vex_serve::{ProfileStore, Server, StoreOptions};
 use vex_workloads::{all_apps, Variant};
 
-/// The corpus: a few mid-sized workloads so cold materialization and
+/// The corpus: a few mid-sized workloads so cold reports and
 /// whole-corpus decoding are real work.
 const APPS: [&str; 3] = ["backprop", "bfs", "hotspot"];
 /// The workload driving the throughput rows.
@@ -127,7 +128,7 @@ struct IngestRow {
 struct BudgetGateRow {
     memory_budget_bytes: u64,
     peak_resident_bytes: u64,
-    corpus_decoded_bytes: u64,
+    corpus_body_bytes: u64,
     evictions: u64,
 }
 
@@ -184,8 +185,8 @@ fn throughput_row() -> ServeRow {
     }
 }
 
-/// Indexed open (skip-records scan) versus the pre-refactor eager
-/// startup (index + decode every trace).
+/// Indexed open (skip-records scan) versus an eager startup (index plus
+/// `read_trace_file` of every trace).
 fn startup_row(dir: &Path) -> StartupRow {
     const RUNS: usize = 5;
     let mut indexed = Vec::with_capacity(RUNS);
@@ -257,41 +258,31 @@ fn ingest_row() -> IngestRow {
 }
 
 /// The bounded-memory gate: serve the corpus under a budget that admits
-/// the largest single trace but not all of them; responses must match an
-/// unbounded server byte-for-byte and resident bytes must stay under
-/// budget.
-fn budget_gate(dir: &Path) -> BudgetGateRow {
-    // Per-trace decoded sizes via a 1-byte-budget probe: only the
-    // just-requested trace stays resident after each decode.
-    let probe = ProfileStore::load_dir_with(
-        dir,
-        &StoreOptions { memory_budget: Some(1), ..StoreOptions::default() },
-    )
-    .expect("probe store");
-    let ids = probe.ids();
+/// the largest single report body but not all of them; responses must
+/// match an unbounded server byte-for-byte, the retained body bytes must
+/// stay under budget, and bodies must be evicted to keep them there.
+fn budget_gate() -> BudgetGateRow {
+    let unbounded = serve(&[]);
+    let targets: Vec<String> = APPS.iter().map(|id| format!("/traces/{id}/report")).collect();
     let mut largest = 0u64;
-    let mut corpus_decoded = 0u64;
-    for id in &ids {
-        probe.decoded(id).expect("probe decode");
-        let single = probe.resident_bytes();
-        largest = largest.max(single);
-        corpus_decoded += single;
+    let mut corpus_bodies = 0u64;
+    for target in &targets {
+        let size = fetch_ok(unbounded.addr(), target).len() as u64;
+        largest = largest.max(size);
+        corpus_bodies += size;
     }
     assert!(
-        corpus_decoded > largest,
-        "gate needs a corpus that does not fit its own budget ({corpus_decoded} <= {largest})"
+        corpus_bodies > largest,
+        "gate needs a corpus that does not fit its own budget ({corpus_bodies} <= {largest})"
     );
 
     let budget = largest;
-    let budgeted = serve(&["--cache-entries", "0", "--memory-budget", &budget.to_string()]);
-    let unbounded = serve(&[]);
-
+    let budgeted = serve(&["--memory-budget", &budget.to_string()]);
     let mut peak_resident = 0u64;
     for round in 0..2 {
-        for id in &ids {
-            let target = format!("/traces/{id}/report");
-            let got = fetch_ok(budgeted.addr(), &target);
-            let want = fetch_ok(unbounded.addr(), &target);
+        for target in &targets {
+            let got = fetch_ok(budgeted.addr(), target);
+            let want = fetch_ok(unbounded.addr(), target);
             assert_eq!(got, want, "{target} diverged under the memory budget (round {round})");
             let resident = budgeted.state().store().resident_bytes();
             assert!(
@@ -303,9 +294,9 @@ fn budget_gate(dir: &Path) -> BudgetGateRow {
     }
     let evictions = budgeted
         .state()
-        .store()
+        .cache()
         .stats()
-        .evictions_total
+        .budget_evictions
         .load(std::sync::atomic::Ordering::Relaxed);
     assert!(evictions > 0, "an over-budget corpus must evict");
 
@@ -314,7 +305,7 @@ fn budget_gate(dir: &Path) -> BudgetGateRow {
     BudgetGateRow {
         memory_budget_bytes: budget,
         peak_resident_bytes: peak_resident,
-        corpus_decoded_bytes: corpus_decoded,
+        corpus_body_bytes: corpus_bodies,
         evictions,
     }
 }
@@ -324,7 +315,7 @@ fn artifact() {
     let throughput = throughput_row();
     let startup = startup_row(&dir);
     let ingest = ingest_row();
-    let gate = budget_gate(&dir);
+    let gate = budget_gate();
 
     println!(
         "{:<10} cold {:>10.1} req/s  warm {:>10.1} req/s  ({:.1}x, hit rate {:.3})",
@@ -343,10 +334,10 @@ fn artifact() {
         ingest.pushes_per_s, ingest.mb_per_s, ingest.trace_bytes
     );
     println!(
-        "budget     {} B cap, peak {} B resident, corpus {} B decoded, {} evictions",
+        "budget     {} B cap, peak {} B resident, corpus {} B of bodies, {} evictions",
         gate.memory_budget_bytes,
         gate.peak_resident_bytes,
-        gate.corpus_decoded_bytes,
+        gate.corpus_body_bytes,
         gate.evictions
     );
 

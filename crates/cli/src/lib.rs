@@ -25,10 +25,10 @@
 
 use std::fmt;
 use vex_core::prelude::*;
-use vex_core::profiler::check_analysis_params;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
 use vex_gvprof::{GvProfReplayError, GvProfSession};
+use vex_serve::ReportParams;
 use vex_trace::codec::DecodeError;
 use vex_trace::container::TraceReader;
 use vex_workloads::{all_apps, GpuApp, Variant};
@@ -132,9 +132,9 @@ pub struct ServeArgs {
     pub workers: usize,
     /// Report-cache capacity, entries.
     pub cache_entries: usize,
-    /// Upper bound on resident decoded trace bytes (`None` =
-    /// unbounded); least-recently-used decoded traces are evicted to
-    /// stay under it.
+    /// Upper bound on the bytes of rendered bodies the report cache
+    /// keeps (`None` = unbounded); least-recently-used bodies are
+    /// evicted to stay under it.
     pub memory_budget: Option<u64>,
     /// Enable the mutation endpoints (`POST /ingest/{id}`,
     /// `DELETE /traces/{id}`).
@@ -144,9 +144,6 @@ pub struct ServeArgs {
     /// Fail startup on the first corrupt trace instead of quarantining
     /// it.
     pub strict: bool,
-    /// Evict decoded traces idle for this many seconds ahead of LRU
-    /// pressure (`None` = keep until the memory budget forces eviction).
-    pub trace_ttl: Option<u64>,
 }
 
 impl ServeArgs {
@@ -160,7 +157,6 @@ impl ServeArgs {
             ingest: false,
             max_ingest_bytes: 64 * 1024 * 1024,
             strict: false,
-            trace_ttl: None,
         }
     }
 }
@@ -172,10 +168,9 @@ pub struct RecordArgs {
     pub app: String,
     /// Device preset.
     pub device: Device,
-    /// Record coarse capture snapshots (default true).
-    pub coarse: bool,
-    /// Record fine-grained access records (default false).
-    pub fine: bool,
+    /// Which passes to record (`coarse`, default on, and `fine`,
+    /// default off; the other fields stay at their defaults).
+    pub analysis: ReportParams,
     /// Workload variant to run (default baseline).
     pub variant: Variant,
     /// Kernel sampling period applied while recording.
@@ -201,8 +196,7 @@ impl RecordArgs {
         RecordArgs {
             app,
             device: Device::default(),
-            coarse: true,
-            fine: false,
+            analysis: ReportParams::default(),
             variant: Variant::Baseline,
             kernel_sampling: 1,
             block_sampling: 1,
@@ -214,78 +208,45 @@ impl RecordArgs {
     }
 }
 
-/// The analysis flags `vex replay` and `vex diff` share:
-/// `--no-coarse`, `--fine`, `--races`, `--reuse N` and `--shards N`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayAnalysis {
-    /// Run the coarse pass (default true).
-    pub coarse: bool,
-    /// Run the fine pass (default false).
-    pub fine: bool,
-    /// Run race detection (implies fine records in the trace).
-    pub races: bool,
-    /// Reuse-distance line size, if enabled.
-    pub reuse: Option<u64>,
-    /// Number of analysis shards (0 = synchronous engine).
-    pub shards: usize,
-}
+/// The analysis flags of `vex replay` and `vex diff`.
+const REPLAY_FLAGS: &[&str] = &["--no-coarse", "--fine", "--races", "--reuse", "--shards"];
+/// The analysis flags of `vex profile` (fine is on by default).
+const PROFILE_FLAGS: &[&str] = &["--no-coarse", "--no-fine", "--races", "--reuse"];
+/// The pass flags of `vex record`.
+const RECORD_FLAGS: &[&str] = &["--no-coarse", "--fine"];
 
-impl Default for ReplayAnalysis {
-    fn default() -> Self {
-        ReplayAnalysis { coarse: true, fine: false, races: false, reuse: None, shards: 0 }
+/// Consumes `flag` (and its value from `it`) into `p` if it is one of
+/// the analysis flags the subcommand `accepts`; `Ok(false)` leaves it to
+/// the subcommand.
+fn parse_analysis_flag<'a>(
+    p: &mut ReportParams,
+    accepts: &[&str],
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<bool, UsageError> {
+    if !accepts.contains(&flag) {
+        return Ok(false);
     }
-}
-
-impl ReplayAnalysis {
-    /// Consumes `flag` (and its value from `it`) if it belongs to the
-    /// group; `Ok(false)` leaves it to the subcommand.
-    fn parse_flag<'a>(
-        &mut self,
-        flag: &str,
-        it: &mut impl Iterator<Item = &'a str>,
-    ) -> Result<bool, UsageError> {
-        match flag {
-            "--no-coarse" => self.coarse = false,
-            "--fine" => self.fine = true,
-            "--races" => self.races = true,
-            "--reuse" => {
-                self.reuse = Some(
-                    take_value(flag, it)?
-                        .parse()
-                        .map_err(|_| UsageError("invalid reuse line size".into()))?,
-                )
-            }
-            "--shards" => {
-                self.shards = take_value(flag, it)?
+    match flag {
+        "--no-coarse" => p.coarse = false,
+        "--fine" => p.fine = true,
+        "--no-fine" => p.fine = false,
+        "--races" => p.races = true,
+        "--reuse" => {
+            p.reuse = Some(
+                take_value(flag, it)?
                     .parse()
-                    .map_err(|_| UsageError("invalid shard count".into()))?
-            }
-            _ => return Ok(false),
+                    .map_err(|_| UsageError("invalid reuse line size".into()))?,
+            )
         }
-        Ok(true)
-    }
-
-    /// Rejects a configuration with neither pass enabled, a reuse line
-    /// size that is not a power of two, or too many shards.
-    fn validate(&self) -> Result<(), UsageError> {
-        if !self.coarse && !self.fine {
-            return Err(UsageError("at least one of coarse/fine must stay enabled".into()));
+        "--shards" => {
+            p.shards = take_value(flag, it)?
+                .parse()
+                .map_err(|_| UsageError("invalid shard count".into()))?
         }
-        check_analysis_params(self.reuse, self.shards).map_err(UsageError)
+        _ => return Ok(false),
     }
-
-    /// The profiler these flags configure.
-    fn builder(&self) -> ProfilerBuilder {
-        let b = ValueExpert::builder()
-            .coarse(self.coarse)
-            .fine(self.fine)
-            .race_detection(self.races)
-            .analysis_shards(self.shards);
-        match self.reuse {
-            Some(line) => b.reuse_distance(line),
-            None => b,
-        }
-    }
+    Ok(true)
 }
 
 /// Options of `vex replay`.
@@ -294,7 +255,7 @@ pub struct ReplayArgs {
     /// Trace path.
     pub path: String,
     /// Which analyses to replay, and how.
-    pub analysis: ReplayAnalysis,
+    pub analysis: ReportParams,
     /// Replay through the GVProf baseline instead of ValueExpert.
     pub gvprof: bool,
     /// GVProf kernel sampling period (only with `--gvprof`).
@@ -313,7 +274,7 @@ impl ReplayArgs {
     fn new(path: String) -> Self {
         ReplayArgs {
             path,
-            analysis: ReplayAnalysis::default(),
+            analysis: ReportParams::default(),
             gvprof: false,
             kernel_sampling: 1,
             block_sampling: 1,
@@ -351,7 +312,7 @@ pub struct DiffArgs {
     /// Per-category threshold overrides (`--ci-threshold CAT=FRACTION`).
     pub category_thresholds: Vec<(DeltaCategory, f64)>,
     /// The analyses replayed on both traces.
-    pub analysis: ReplayAnalysis,
+    pub analysis: ReportParams,
 }
 
 impl DiffArgs {
@@ -363,7 +324,7 @@ impl DiffArgs {
             format: DiffFormat::Text,
             ci: false,
             category_thresholds: Vec::new(),
-            analysis: ReplayAnalysis::default(),
+            analysis: ReportParams::default(),
         }
     }
 }
@@ -375,20 +336,14 @@ pub struct ProfileArgs {
     pub app: String,
     /// Device preset.
     pub device: Device,
-    /// Enable the coarse pass (default true).
-    pub coarse: bool,
-    /// Enable the fine pass (default true).
-    pub fine: bool,
+    /// Which analyses to run (fine on by default; no shards).
+    pub analysis: ReportParams,
     /// Kernel sampling period.
     pub kernel_sampling: u64,
     /// Block sampling period.
     pub block_sampling: u32,
     /// Kernel-name substring filters.
     pub filters: Vec<String>,
-    /// Enable race detection.
-    pub races: bool,
-    /// Reuse-distance line size, if enabled.
-    pub reuse: Option<u64>,
     /// Write the JSON profile here.
     pub json: Option<String>,
     /// Write the value-flow DOT here.
@@ -402,13 +357,10 @@ impl ProfileArgs {
         ProfileArgs {
             app,
             device: Device::default(),
-            coarse: true,
-            fine: true,
+            analysis: ReportParams { fine: true, ..ReportParams::default() },
             kernel_sampling: 1,
             block_sampling: 1,
             filters: Vec::new(),
-            races: false,
-            reuse: None,
             json: None,
             dot: None,
             md: None,
@@ -483,17 +435,16 @@ usage:
                new valid container (default out: <stem>.repaired.vex) and
                print a loss report
   vex serve <dir> [--addr HOST:PORT] [--workers N] [--cache-entries K]
-               [--memory-budget BYTES[k|m|g]] [--trace-ttl SECS] [--ingest]
+               [--memory-budget BYTES[k|m|g]] [--ingest]
                [--max-ingest-bytes BYTES[k|m|g]] [--strict]
                index every .vex trace in <dir> (cheap skip-scan, no full
                decode) and serve profile queries over HTTP: /traces,
                /traces/{id}/report, /traces/{id}/flowgraph,
-               /traces/{id}/objects, /traces/{id}/kernels, /healthz, /metrics;
-               traces decode lazily per report and --memory-budget bounds the
-               resident decoded bytes (LRU eviction); --trace-ttl evicts
-               decoded traces idle longer than SECS seconds ahead of LRU
-               pressure (GET /traces/{a}/diff/{b} compares two traces);
-               --ingest enables
+               /traces/{a}/diff/{b}, /traces/{id}/objects,
+               /traces/{id}/kernels, /healthz, /metrics; each report streams
+               its trace from disk as `vex replay` does, and up to K
+               rendered bodies (default 64) are cached within
+               --memory-budget bytes (LRU eviction); --ingest enables
                POST /ingest/{id} and DELETE /traces/{id} (bodies capped by
                --max-ingest-bytes, default 64m); corrupt traces are
                quarantined unless --strict
@@ -606,31 +557,21 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                 it.next().ok_or_else(|| UsageError("profile requires an app name".into()))?;
             let mut p = ProfileArgs::new(app.to_owned());
             while let Some(flag) = it.next() {
+                if parse_analysis_flag(&mut p.analysis, PROFILE_FLAGS, flag, &mut it)? {
+                    continue;
+                }
                 match flag {
                     "--device" => p.device = parse_device(take_value(flag, &mut it)?)?,
-                    "--no-coarse" => p.coarse = false,
-                    "--no-fine" => p.fine = false,
                     "--kernel-sampling" => p.kernel_sampling = sampling_period(flag, &mut it)?,
                     "--block-sampling" => p.block_sampling = sampling_period(flag, &mut it)?,
                     "--filter" => p.filters.push(take_value(flag, &mut it)?.to_owned()),
-                    "--races" => p.races = true,
-                    "--reuse" => {
-                        p.reuse = Some(
-                            take_value(flag, &mut it)?
-                                .parse()
-                                .map_err(|_| UsageError("invalid reuse line size".into()))?,
-                        )
-                    }
                     "--json" => p.json = Some(take_value(flag, &mut it)?.to_owned()),
                     "--dot" => p.dot = Some(take_value(flag, &mut it)?.to_owned()),
                     "--md" => p.md = Some(take_value(flag, &mut it)?.to_owned()),
                     other => return Err(UsageError(format!("unknown flag '{other}'"))),
                 }
             }
-            if !p.coarse && !p.fine {
-                return Err(UsageError("at least one of coarse/fine must stay enabled".into()));
-            }
-            check_analysis_params(p.reuse, 0).map_err(UsageError)?;
+            p.analysis.validate().map_err(UsageError)?;
             Ok(Command::Profile(p))
         }
         "speedup" => {
@@ -671,12 +612,13 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
             }
             let mut r = RecordArgs::new(app.to_owned());
             while let Some(flag) = it.next() {
+                if parse_analysis_flag(&mut r.analysis, RECORD_FLAGS, flag, &mut it)? {
+                    continue;
+                }
                 match flag {
                     "--help" | "-h" => return Ok(Command::Help),
                     "-o" | "--output" => r.output = take_value(flag, &mut it)?.to_owned(),
                     "--device" => r.device = parse_device(take_value(flag, &mut it)?)?,
-                    "--no-coarse" => r.coarse = false,
-                    "--fine" => r.fine = true,
                     "--variant" => r.variant = parse_variant(take_value(flag, &mut it)?)?,
                     "--kernel-sampling" => r.kernel_sampling = sampling_period(flag, &mut it)?,
                     "--block-sampling" => r.block_sampling = sampling_period(flag, &mut it)?,
@@ -686,9 +628,7 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                     other => return Err(UsageError(format!("unknown flag '{other}'"))),
                 }
             }
-            if !r.coarse && !r.fine {
-                return Err(UsageError("at least one of coarse/fine must stay enabled".into()));
-            }
+            r.analysis.validate().map_err(UsageError)?;
             if r.spool_dir.is_some() && r.push.is_none() {
                 return Err(UsageError("--spool-dir only applies with --push".into()));
             }
@@ -702,7 +642,7 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
             }
             let mut r = ReplayArgs::new(path.to_owned());
             while let Some(flag) = it.next() {
-                if r.analysis.parse_flag(flag, &mut it)? {
+                if parse_analysis_flag(&mut r.analysis, REPLAY_FLAGS, flag, &mut it)? {
                     continue;
                 }
                 match flag {
@@ -733,7 +673,7 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                 ));
             }
             if !r.gvprof {
-                a.validate()?;
+                a.validate().map_err(UsageError)?;
             }
             Ok(Command::Replay(r))
         }
@@ -750,7 +690,7 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
             }
             let mut d = DiffArgs::new(path_a.to_owned(), path_b.to_owned());
             while let Some(flag) = it.next() {
-                if d.analysis.parse_flag(flag, &mut it)? {
+                if parse_analysis_flag(&mut d.analysis, REPLAY_FLAGS, flag, &mut it)? {
                     continue;
                 }
                 match flag {
@@ -788,7 +728,7 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                     other => return Err(UsageError(format!("unknown flag '{other}'"))),
                 }
             }
-            d.analysis.validate()?;
+            d.analysis.validate().map_err(UsageError)?;
             if !d.category_thresholds.is_empty() && !d.ci {
                 return Err(UsageError("--ci-threshold only applies with --ci".into()));
             }
@@ -872,17 +812,6 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                     }
                     "--memory-budget" => {
                         s.memory_budget = Some(parse_byte_size(take_value(flag, &mut it)?)?)
-                    }
-                    "--trace-ttl" => {
-                        let secs: u64 = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| UsageError("invalid trace TTL".into()))?;
-                        if secs == 0 {
-                            return Err(UsageError(
-                                "--trace-ttl must be at least 1 second".into(),
-                            ));
-                        }
-                        s.trace_ttl = Some(secs);
                     }
                     "--ingest" => s.ingest = true,
                     "--max-ingest-bytes" => {
@@ -996,15 +925,11 @@ fn run_unit(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), UsageErro
         Command::Profile(p) => {
             let app = find_app(&p.app)?;
             let mut rt = Runtime::new(p.device.spec());
-            let mut b = ValueExpert::builder()
-                .coarse(p.coarse)
-                .fine(p.fine)
+            let mut b = p
+                .analysis
+                .builder()
                 .kernel_sampling(p.kernel_sampling)
-                .block_sampling(p.block_sampling)
-                .race_detection(p.races);
-            if let Some(line) = p.reuse {
-                b = b.reuse_distance(line);
-            }
+                .block_sampling(p.block_sampling);
             if !p.filters.is_empty() {
                 b = b.filter_kernels(p.filters.clone());
             }
@@ -1070,9 +995,9 @@ fn run_unit(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), UsageErro
         Command::Record(r) => {
             let app = find_app(&r.app)?;
             let mut rt = Runtime::new(r.device.spec());
-            let mut b = ValueExpert::builder()
-                .coarse(r.coarse)
-                .fine(r.fine)
+            let mut b = r
+                .analysis
+                .builder()
                 .kernel_sampling(r.kernel_sampling)
                 .block_sampling(r.block_sampling);
             if !r.filters.is_empty() {
@@ -1531,11 +1456,8 @@ fn default_repair_output(input: &str) -> String {
 /// Returns [`UsageError`] if the directory cannot be loaded or the
 /// address cannot be bound.
 pub fn start_server(args: &ServeArgs) -> Result<vex_serve::Server, UsageError> {
-    let opts = vex_serve::StoreOptions {
-        memory_budget: args.memory_budget,
-        strict: args.strict,
-        trace_ttl: args.trace_ttl.map(std::time::Duration::from_secs),
-    };
+    let opts =
+        vex_serve::StoreOptions { memory_budget: args.memory_budget, strict: args.strict };
     let store = vex_serve::ProfileStore::load_dir_with(std::path::Path::new(&args.dir), &opts)
         .map_err(|e| UsageError(e.to_string()))?;
     let config = vex_serve::ServerConfig {
@@ -1602,13 +1524,13 @@ mod tests {
             Command::Profile(p) => {
                 assert_eq!(p.app, "darknet");
                 assert_eq!(p.device, Device::A100);
-                assert!(p.coarse);
-                assert!(!p.fine);
+                assert!(p.analysis.coarse);
+                assert!(!p.analysis.fine);
                 assert_eq!(p.kernel_sampling, 20);
                 assert_eq!(p.block_sampling, 4);
                 assert_eq!(p.filters, vec!["gemm"]);
-                assert!(p.races);
-                assert_eq!(p.reuse, Some(64));
+                assert!(p.analysis.races);
+                assert_eq!(p.analysis.reuse, Some(64));
                 assert_eq!(p.json.as_deref(), Some("p.json"));
                 assert_eq!(p.dot, None);
                 assert_eq!(p.md, None);
@@ -1662,8 +1584,8 @@ mod tests {
         match cmd {
             Command::Record(r) => {
                 assert_eq!(r.app, "darknet");
-                assert!(r.coarse);
-                assert!(r.fine);
+                assert!(r.analysis.coarse);
+                assert!(r.analysis.fine);
                 assert_eq!(r.device, Device::A100);
                 assert_eq!(r.kernel_sampling, 4);
                 assert_eq!(r.block_sampling, 2);
@@ -1675,8 +1597,8 @@ mod tests {
         // Defaults: coarse-only into trace.vex.
         match parse_args(["record", "huffman"]).unwrap() {
             Command::Record(r) => {
-                assert!(r.coarse);
-                assert!(!r.fine);
+                assert!(r.analysis.coarse);
+                assert!(!r.analysis.fine);
                 assert_eq!(r.output, "trace.vex");
             }
             other => panic!("unexpected {other:?}"),
@@ -1723,6 +1645,58 @@ mod tests {
             assert_eq!(err.0, "unknown flag '--decode-threads'", "{sub:?}");
         }
         assert!(!USAGE.contains("--decode-threads"), "{USAGE}");
+    }
+
+    #[test]
+    fn trace_ttl_flag_is_unknown() {
+        // Reports stream from disk and no decoded trace is kept, so there
+        // is nothing left for an idle TTL to expire.
+        let err = parse_args(["serve", "d", "--trace-ttl", "60"]).expect_err("rejected");
+        assert_eq!(err.0, "unknown flag '--trace-ttl'");
+        assert!(!USAGE.contains("--trace-ttl"), "{USAGE}");
+    }
+
+    #[test]
+    fn analysis_flags_keep_each_subcommand_defaults_and_subset() {
+        let analysis = |args: &[&str]| match parse_args(args.iter().copied()).unwrap() {
+            Command::Profile(p) => p.analysis,
+            Command::Record(r) => r.analysis,
+            Command::Replay(r) => r.analysis,
+            Command::Diff(d) => d.analysis,
+            other => panic!("unexpected {other:?}"),
+        };
+        let coarse_only = ReportParams::default();
+        let both = ReportParams { fine: true, ..coarse_only };
+        assert_eq!(analysis(&["profile", "x"]), both);
+        assert_eq!(analysis(&["record", "x"]), coarse_only);
+        assert_eq!(analysis(&["replay", "t.vex"]), coarse_only);
+        assert_eq!(analysis(&["diff", "a.vex", "b.vex"]), coarse_only);
+        assert_eq!(
+            analysis(&["profile", "x", "--no-coarse"]),
+            ReportParams { coarse: false, ..both }
+        );
+        assert_eq!(
+            analysis(&["record", "x", "--no-coarse", "--fine"]),
+            ReportParams { coarse: false, ..both }
+        );
+        // Each subcommand keeps its own subset.
+        for (args, flag) in [
+            (&["profile", "x", "--fine"][..], "--fine"),
+            (&["profile", "x", "--shards", "2"], "--shards"),
+            (&["record", "x", "--races"], "--races"),
+            (&["record", "x", "--reuse", "64"], "--reuse"),
+            (&["record", "x", "--no-fine"], "--no-fine"),
+            (&["replay", "t.vex", "--no-fine"], "--no-fine"),
+        ] {
+            let err = parse_args(args.iter().copied()).expect_err("not in the subset");
+            assert_eq!(err.0, format!("unknown flag '{flag}'"), "{args:?}");
+        }
+        for args in
+            [&["record", "x", "--no-coarse"][..], &["profile", "x", "--no-coarse", "--no-fine"]]
+        {
+            let err = parse_args(args.iter().copied()).expect_err("no pass left");
+            assert_eq!(err.0, "at least one of coarse/fine must stay enabled", "{args:?}");
+        }
     }
 
     #[test]
@@ -2262,7 +2236,7 @@ mod tests {
         let trace = dir.join("q.vex").to_str().unwrap().to_owned();
 
         let mut rec = RecordArgs::new("QMCPACK".into());
-        rec.fine = true;
+        rec.analysis.fine = true;
         rec.output = trace.clone();
         let mut out = Vec::new();
         run(&Command::Record(rec), &mut out).unwrap();
@@ -2329,7 +2303,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("q.vex").to_str().unwrap().to_owned();
         let mut rec = RecordArgs::new("QMCPACK".into());
-        rec.fine = true;
+        rec.analysis.fine = true;
         rec.output = trace.clone();
         run(&Command::Record(rec), &mut Vec::new()).unwrap();
 

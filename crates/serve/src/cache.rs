@@ -1,14 +1,16 @@
 //! The report cache: bounded LRU + single-flight computation.
 //!
-//! Materializing a report replays a full analysis, so the server caches
+//! A report streams and replays its whole trace, so the server caches
 //! rendered bodies keyed by `(trace incarnation, endpoint, params)` —
 //! the trace's id plus its [`crate::store::TraceEntry::generation`], so
 //! an id reused after a delete never aliases the old entries. Two
 //! production behaviours matter beyond the map itself:
 //!
-//! * **LRU bound** — at most `capacity` entries stay resident; the least
-//!   recently *used* entry is evicted, so a hot report stays hot however
-//!   many cold ones pass through.
+//! * **LRU bound** — at most `capacity` entries, holding at most
+//!   `budget` body bytes, stay resident; the least recently *used* entry
+//!   is evicted, so a hot report stays hot however many cold ones pass
+//!   through. A body larger than the whole budget is returned but not
+//!   kept.
 //! * **Single-flight** — when N requests for the same cold key arrive
 //!   concurrently, exactly one thread computes; the rest block on the
 //!   flight and share its result. A thundering herd on a cold cache runs
@@ -36,6 +38,8 @@ struct CacheState {
     entries: HashMap<String, (CachedValue, u64)>,
     inflight: HashMap<String, Arc<Flight>>,
     tick: u64,
+    /// Body bytes of `entries`.
+    bytes: u64,
 }
 
 /// Counters the `/metrics` endpoint exposes.
@@ -49,6 +53,10 @@ pub struct CacheStats {
     pub coalesced: AtomicU64,
     /// Entries evicted to stay within capacity.
     pub evictions: AtomicU64,
+    /// Entries evicted to stay within the byte budget.
+    pub budget_evictions: AtomicU64,
+    /// Body bytes currently retained (gauge).
+    pub bytes: AtomicU64,
 }
 
 impl CacheStats {
@@ -69,6 +77,7 @@ impl CacheStats {
 pub struct ReportCache {
     state: Mutex<CacheState>,
     capacity: usize,
+    budget: u64,
     stats: CacheStats,
 }
 
@@ -77,6 +86,7 @@ impl std::fmt::Debug for ReportCache {
         let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         f.debug_struct("ReportCache")
             .field("capacity", &self.capacity)
+            .field("budget", &self.budget)
             .field("entries", &st.entries.len())
             .field("inflight", &st.inflight.len())
             .finish()
@@ -84,15 +94,18 @@ impl std::fmt::Debug for ReportCache {
 }
 
 impl ReportCache {
-    /// A cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
+    /// A cache holding at most `capacity` entries and at most `budget`
+    /// body bytes (`None` = no byte bound).
+    pub fn new(capacity: usize, budget: Option<u64>) -> Self {
         ReportCache {
             state: Mutex::new(CacheState {
                 entries: HashMap::new(),
                 inflight: HashMap::new(),
                 tick: 0,
+                bytes: 0,
             }),
             capacity,
+            budget: budget.unwrap_or(u64::MAX),
             stats: CacheStats::default(),
         }
     }
@@ -152,20 +165,32 @@ impl ReportCache {
             // Only successful computations are retained; errors are
             // returned to the coalesced waiters but not cached, so a
             // transient failure does not poison the key.
-            if self.capacity > 0 && value.is_ok() {
+            if self.capacity > 0 && value.is_ok() && body_bytes(&value) <= self.budget {
                 st.tick += 1;
                 let tick = st.tick;
+                st.bytes += body_bytes(&value);
                 st.entries.insert(key.to_owned(), (value.clone(), tick));
-                while st.entries.len() > self.capacity {
+                // The entry just inserted is the newest and fits the
+                // budget alone, so it is never the one evicted.
+                while st.entries.len() > self.capacity || st.bytes > self.budget {
+                    let over_capacity = st.entries.len() > self.capacity;
                     let coldest = st
                         .entries
                         .iter()
                         .min_by_key(|(_, (_, t))| *t)
                         .map(|(k, _)| k.clone())
-                        .expect("non-empty over capacity");
-                    st.entries.remove(&coldest);
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+                        .expect("non-empty over its bounds");
+                    if let Some((evicted, _)) = st.entries.remove(&coldest) {
+                        st.bytes -= body_bytes(&evicted);
+                    }
+                    let counter = if over_capacity {
+                        &self.stats.evictions
+                    } else {
+                        &self.stats.budget_evictions
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
                 }
+                self.stats.bytes.store(st.bytes, Ordering::Relaxed);
             }
         }
 
@@ -187,6 +212,11 @@ impl ReportCache {
     }
 }
 
+/// Body bytes of a cached value (errors are never cached).
+fn body_bytes(value: &CachedValue) -> u64 {
+    value.as_ref().as_ref().map_or(0, |r| r.body.len() as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +229,7 @@ mod tests {
 
     #[test]
     fn hit_after_miss_and_stats() {
-        let cache = ReportCache::new(4);
+        let cache = ReportCache::new(4, None);
         let a = cache.get_or_compute("k", || body("v"));
         let b = cache.get_or_compute("k", || panic!("must be cached"));
         assert_eq!(a.as_ref().as_ref().unwrap().body, b"v");
@@ -211,7 +241,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = ReportCache::new(2);
+        let cache = ReportCache::new(2, None);
         cache.get_or_compute("a", || body("a"));
         cache.get_or_compute("b", || body("b"));
         cache.get_or_compute("a", || panic!("a is hot")); // touch a
@@ -228,8 +258,27 @@ mod tests {
     }
 
     #[test]
+    fn byte_budget_evicts_lru_and_skips_oversized_bodies() {
+        let cache = ReportCache::new(8, Some(6));
+        cache.get_or_compute("a", || body("aaa"));
+        cache.get_or_compute("b", || body("bbb"));
+        assert_eq!(cache.stats().bytes.load(Ordering::Relaxed), 6);
+        cache.get_or_compute("a", || panic!("a is hot")); // touch a
+        cache.get_or_compute("c", || body("cc")); // evicts b
+        assert_eq!(cache.stats().bytes.load(Ordering::Relaxed), 5);
+        assert_eq!(cache.stats().budget_evictions.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.stats().evictions.load(Ordering::Relaxed), 0);
+        cache.get_or_compute("a", || panic!("a survived"));
+        // Larger than the whole budget: served, not kept, nothing evicted.
+        let big = cache.get_or_compute("big", || body("0123456"));
+        assert_eq!(big.as_ref().as_ref().unwrap().body, b"0123456");
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().bytes.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
     fn zero_capacity_never_retains() {
-        let cache = ReportCache::new(0);
+        let cache = ReportCache::new(0, None);
         cache.get_or_compute("k", || body("1"));
         let ran = AtomicUsize::new(0);
         cache.get_or_compute("k", || {
@@ -242,7 +291,7 @@ mod tests {
 
     #[test]
     fn errors_are_returned_but_not_cached() {
-        let cache = ReportCache::new(4);
+        let cache = ReportCache::new(4, None);
         let v = cache.get_or_compute("k", || Err("boom".into()));
         assert_eq!(v.as_ref().as_ref().unwrap_err(), "boom");
         assert!(cache.is_empty());
@@ -252,7 +301,7 @@ mod tests {
 
     #[test]
     fn single_flight_coalesces_concurrent_misses() {
-        let cache = Arc::new(ReportCache::new(4));
+        let cache = Arc::new(ReportCache::new(4, None));
         let computations = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(std::sync::Barrier::new(8));
         let mut handles = Vec::new();

@@ -5,11 +5,10 @@
 //! captures a compact replayable trace, and every analysis runs later,
 //! off the critical path. This crate takes the final step and makes the
 //! recorded corpus *queryable*: it opens a directory of `.vex` traces as
-//! a two-tier [`store::ProfileStore`] — a resident index tier built by a
-//! cheap skip-records scan, and a decoded tier materialized lazily per
-//! report and evicted LRU under a memory budget — and serves profile
-//! views over plain HTTP/1.1, no external dependencies, just `std::net`
-//! and the workspace's vendored shims.
+//! a [`store::ProfileStore`] — a resident index tier built by a cheap
+//! skip-records scan, with every report streamed from its trace file —
+//! and serves profile views over plain HTTP/1.1, no external
+//! dependencies, just `std::net` and the workspace's vendored shims.
 //!
 //! | Endpoint | Body |
 //! |---|---|
@@ -25,8 +24,9 @@
 //!
 //! Reports and flowgraphs additionally accept the `vex replay` analysis
 //! parameters (`shards`, `coarse`, `fine`, `races`, `reuse`) and are
-//! materialized on demand through the same replay machinery the CLI
-//! uses, behind an LRU + single-flight cache ([`cache::ReportCache`]).
+//! streamed on demand through the same replay path the CLI uses, behind
+//! an LRU + single-flight cache of rendered bodies
+//! ([`cache::ReportCache`]) that `--memory-budget` bounds in bytes.
 //! The serving loop ([`server::Server`]) is a bounded worker pool with a
 //! backpressure accept loop that sheds overload (`503` + `Retry-After`
 //! once the worker queue stays saturated past a grace period),

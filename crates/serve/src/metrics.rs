@@ -75,7 +75,9 @@ impl Metrics {
     }
 
     /// Renders the Prometheus-style exposition, including the cache
-    /// section from `cache` and the two-tier store section from `store`.
+    /// section from `cache` and the store section from `store`. The
+    /// store's resident bytes and evictions are the report cache's
+    /// retained body bytes and budget evictions.
     pub fn render(
         &self,
         cache: &crate::cache::CacheStats,
@@ -133,16 +135,7 @@ impl Metrics {
         let _ = writeln!(s, "# TYPE vex_cache_hit_rate gauge");
         let _ = writeln!(s, "vex_cache_hit_rate {:.6}", cache.hit_rate());
         let _ = writeln!(s, "# TYPE vex_store gauge");
-        let _ = writeln!(
-            s,
-            "vex_store_resident_bytes {}",
-            store.resident_bytes.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            s,
-            "vex_store_resident_traces {}",
-            store.resident_traces.load(Ordering::Relaxed)
-        );
+        let _ = writeln!(s, "vex_store_resident_bytes {}", cache.bytes.load(Ordering::Relaxed));
         let _ = writeln!(
             s,
             "vex_store_memory_budget_bytes {}",
@@ -153,11 +146,6 @@ impl Metrics {
             "vex_store_quarantined_traces {}",
             store.quarantined.load(Ordering::Relaxed)
         );
-        let _ = writeln!(
-            s,
-            "vex_store_trace_ttl_seconds {}",
-            store.trace_ttl_seconds.load(Ordering::Relaxed)
-        );
         let _ = writeln!(s, "# TYPE vex_store_ops counter");
         let _ = writeln!(
             s,
@@ -167,17 +155,7 @@ impl Metrics {
         let _ = writeln!(
             s,
             "vex_store_evictions_total {}",
-            store.evictions_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            s,
-            "vex_store_evicted_bytes_total {}",
-            store.evicted_bytes_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            s,
-            "vex_store_ttl_evictions_total {}",
-            store.ttl_evictions_total.load(Ordering::Relaxed)
+            cache.budget_evictions.load(Ordering::Relaxed)
         );
         let _ =
             writeln!(s, "vex_ingest_total {}", store.ingested_total.load(Ordering::Relaxed));
@@ -223,9 +201,9 @@ mod tests {
         let stats = CacheStats::default();
         stats.hits.fetch_add(3, Ordering::Relaxed);
         stats.misses.fetch_add(1, Ordering::Relaxed);
+        stats.bytes.store(12345, Ordering::Relaxed);
+        stats.budget_evictions.store(2, Ordering::Relaxed);
         let store = crate::store::StoreStats::default();
-        store.resident_bytes.store(12345, Ordering::Relaxed);
-        store.evictions_total.store(2, Ordering::Relaxed);
         store.ingested_total.store(7, Ordering::Relaxed);
         let text = m.render(&stats, &store);
         assert!(text.contains("vex_requests_total{endpoint=\"report\"} 3"), "{text}");
@@ -249,9 +227,27 @@ mod tests {
         assert!(text.contains("vex_store_evictions_total 2"), "{text}");
         assert!(text.contains("vex_ingest_total 7"), "{text}");
         assert!(text.contains("vex_store_memory_budget_bytes 0"), "{text}");
-        assert!(text.contains("vex_store_trace_ttl_seconds 0"), "{text}");
-        assert!(text.contains("vex_store_ttl_evictions_total 0"), "{text}");
         assert!(text.contains("vex_requests_shed_total 2"), "{text}");
+    }
+
+    /// The lines vexbench's `scrape` parses, each as `name value`: a
+    /// missing one would only show as a failed benchmark run.
+    #[test]
+    fn benchmark_scrape_lines_are_present() {
+        let text = Metrics::new().render(&CacheStats::default(), &Default::default());
+        for name in [
+            "vex_cache_hits_total",
+            "vex_cache_misses_total",
+            "vex_store_decodes_total",
+            "vex_store_evictions_total",
+            "vex_requests_shed_total",
+        ] {
+            let value = text
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("no `{name} value` line in:\n{text}"));
+            assert!(value.trim().parse::<f64>().is_ok(), "{name} {value}");
+        }
     }
 
     #[test]

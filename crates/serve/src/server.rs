@@ -16,11 +16,11 @@
 //! * **Timeouts and size limits** — per-connection read/write timeouts
 //!   and the [`crate::http::MAX_REQUEST_BYTES`] head cap bound the
 //!   resources any single client can hold.
-//! * **Caching** — report/flowgraph bodies go through the LRU +
-//!   single-flight [`ReportCache`], so hot reports skip analysis and a
-//!   cold thundering herd analyzes once. Cache keys fold in the trace
-//!   entry's generation, so a delete + re-ingest under the same id can
-//!   never serve the previous trace's cached bodies.
+//! * **Caching** — report/flowgraph/diff bodies go through the store's
+//!   LRU + single-flight [`ReportCache`], so hot reports skip analysis
+//!   and a cold thundering herd streams its trace once. Cache keys fold
+//!   in the trace entry's generation, so a delete + re-ingest under the
+//!   same id can never serve the previous trace's cached bodies.
 //! * **Graceful shutdown** — [`Server::shutdown`] stops accepting, lets
 //!   the workers drain every already-accepted connection, and joins all
 //!   threads before returning.
@@ -32,8 +32,7 @@ use crate::http::{
 };
 use crate::metrics::Metrics;
 use crate::store::{
-    materialize, MutationError, ProfileStore, QuarantineRow, ReportParams, TraceEntry,
-    TraceListRow,
+    MutationError, ProfileStore, QuarantineRow, ReportParams, TraceEntry, TraceListRow,
 };
 use crossbeam::channel;
 use std::io::{Read, Write};
@@ -42,14 +41,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vex_core::diff::{diff_profiles, DiffOptions};
-use vex_core::profiler::check_analysis_params;
+use vex_core::report::Profile;
 
 /// Tunables of a serving process.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads (≥1).
     pub workers: usize,
-    /// LRU report-cache capacity, entries (0 disables retention).
+    /// LRU report-cache capacity, entries (0 disables retention); the
+    /// store's memory budget bounds their bytes.
     pub cache_entries: usize,
     /// Per-connection read timeout.
     pub read_timeout: Duration,
@@ -90,7 +90,6 @@ impl Default for ServerConfig {
 #[derive(Debug)]
 pub struct ServeState {
     store: ProfileStore,
-    cache: ReportCache,
     metrics: Metrics,
     ingest_enabled: bool,
 }
@@ -101,8 +100,7 @@ impl ServeState {
     /// [`ServeState::with_ingest`].
     pub fn new(store: ProfileStore, cache_entries: usize) -> Self {
         ServeState {
-            store,
-            cache: ReportCache::new(cache_entries),
+            store: store.with_cache_entries(cache_entries),
             metrics: Metrics::new(),
             ingest_enabled: false,
         }
@@ -122,7 +120,7 @@ impl ServeState {
 
     /// The report cache (stats feed `/metrics`).
     pub fn cache(&self) -> &ReportCache {
-        &self.cache
+        self.store.cache()
     }
 
     /// The request-metrics registry.
@@ -188,7 +186,7 @@ impl ServeState {
         }
     }
 
-    /// `DELETE /traces/{id}` — drop a trace from every tier and disk.
+    /// `DELETE /traces/{id}` — drop a trace from the index and disk.
     fn delete(&self, req: &Request, id: &str) -> Response {
         if !self.ingest_enabled {
             return Response::error(
@@ -214,16 +212,10 @@ impl ServeState {
 
     fn render_metrics(&self, req: &Request) -> Response {
         match query_map(req, &[]) {
-            Ok(_) => {
-                // Piggyback the idle-TTL sweep on the scrape: a store
-                // whose hot set never touches an expired trace still
-                // releases it within one scrape interval.
-                self.store.sweep_expired();
-                Response::text(
-                    Status::Ok,
-                    self.metrics.render(self.cache.stats(), self.store.stats()),
-                )
-            }
+            Ok(_) => Response::text(
+                Status::Ok,
+                self.metrics.render(self.cache().stats(), self.store.stats()),
+            ),
             Err(e) => Response::error(Status::BadRequest, e),
         }
     }
@@ -313,11 +305,9 @@ impl ServeState {
         // trace can never be served for the new one (stale keys age out
         // of the LRU).
         let key = format!("{id}@{}/report?{}", entry.generation, params.cache_key());
-        let value = self.cache.get_or_compute(&key, || {
-            // The decoded tier materializes the trace on first use; a
-            // cache hit never touches it.
-            let trace = self.store.decoded(id).map_err(|e| e.to_string())?;
-            let profile = materialize(&trace, &params).map_err(|e| e.to_string())?;
+        let value = self.cache().get_or_compute(&key, || {
+            // A miss streams the trace from disk; a hit never touches it.
+            let profile = self.profile(&entry, &params)?;
             Ok(Response::text(Status::Ok, profile.render_text_document()))
         });
         unwrap_cached(&value)
@@ -374,11 +364,9 @@ impl ServeState {
             entry_b.generation,
             params.cache_key()
         );
-        let value = self.cache.get_or_compute(&key, || {
-            let trace_a = self.store.decoded(a).map_err(|e| e.to_string())?;
-            let trace_b = self.store.decoded(b).map_err(|e| e.to_string())?;
-            let profile_a = materialize(&trace_a, &params).map_err(|e| e.to_string())?;
-            let profile_b = materialize(&trace_b, &params).map_err(|e| e.to_string())?;
+        let value = self.cache().get_or_compute(&key, || {
+            let profile_a = self.profile(&entry_a, &params)?;
+            let profile_b = self.profile(&entry_b, &params)?;
             let opts = DiffOptions { threshold, ..DiffOptions::default() };
             let diff = diff_profiles(&profile_a, &profile_b, &opts);
             Ok(if json {
@@ -435,9 +423,8 @@ impl ServeState {
             entry.generation,
             params.cache_key()
         );
-        let value = self.cache.get_or_compute(&key, || {
-            let trace = self.store.decoded(id).map_err(|e| e.to_string())?;
-            let profile = materialize(&trace, &params).map_err(|e| e.to_string())?;
+        let value = self.cache().get_or_compute(&key, || {
+            let profile = self.profile(&entry, &params)?;
             Ok(match format {
                 FlowFormat::Dot => Response {
                     status: Status::Ok,
@@ -451,6 +438,11 @@ impl ServeState {
             })
         });
         unwrap_cached(&value)
+    }
+
+    /// Streams the incarnation `entry` names under `params`.
+    fn profile(&self, entry: &TraceEntry, params: &ReportParams) -> Result<Profile, String> {
+        self.store.profile(&entry.id, entry.generation, params).map_err(|e| e.to_string())
     }
 }
 
@@ -476,7 +468,6 @@ fn mutation_response(e: MutationError) -> Response {
         MutationError::BadId(_) | MutationError::InvalidTrace(_) => Status::BadRequest,
         MutationError::Duplicate(_) => Status::Conflict,
         MutationError::NotFound(_) => Status::NotFound,
-        MutationError::ReadOnly => Status::MethodNotAllowed,
         MutationError::Io(_) => Status::Internal,
     };
     Response::error(status, e)
@@ -528,10 +519,7 @@ fn parse_report_params(
             v.parse().map_err(|_| format!("reuse must be a line size in bytes, got '{v}'"))?;
         p.reuse = Some(line);
     }
-    if !p.coarse && !p.fine {
-        return Err("at least one of coarse/fine must stay enabled".into());
-    }
-    check_analysis_params(p.reuse, p.shards)?;
+    p.validate()?;
     Ok(p)
 }
 
@@ -884,13 +872,15 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use vex_core::profiler::ValueExpert;
     use vex_gpu::runtime::Runtime;
     use vex_gpu::timing::DeviceSpec;
-    use vex_trace::container::read_trace;
     use vex_workloads::{all_apps, Variant};
 
-    fn qmcpack_state() -> ServeState {
+    /// Records QMCPACK with both passes into a fresh temp directory, as
+    /// each of `ids`.
+    fn qmcpack_dir(tag: &str, ids: &[&str]) -> PathBuf {
         let apps = all_apps();
         let app = apps.iter().find(|a| a.name() == "QMCPACK").expect("bundled workload");
         let mut rt = Runtime::new(DeviceSpec::test_small());
@@ -898,9 +888,22 @@ mod tests {
             ValueExpert::builder().coarse(true).fine(true).record(&mut rt, Vec::new()).unwrap();
         app.run(&mut rt, Variant::Baseline).unwrap();
         let bytes = rec.finish(&mut rt).unwrap();
-        let trace = read_trace(&bytes).unwrap();
-        let store = ProfileStore::from_traces([("qmcpack".to_owned(), trace)]).unwrap();
-        ServeState::new(store, 8)
+        let dir = std::env::temp_dir().join(format!("vex-server-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for id in ids {
+            std::fs::write(dir.join(format!("{id}.vex")), &bytes).unwrap();
+        }
+        dir
+    }
+
+    /// A store over `qmcpack`, recorded once and shared by every test.
+    fn qmcpack_store() -> ProfileStore {
+        static DIR: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
+        ProfileStore::load_dir(DIR.get_or_init(|| qmcpack_dir("shared", &["qmcpack"]))).unwrap()
+    }
+
+    fn qmcpack_state() -> ServeState {
+        ServeState::new(qmcpack_store(), 8)
     }
 
     fn get(state: &ServeState, target: &str) -> (&'static str, Response) {
@@ -971,17 +974,8 @@ mod tests {
 
     #[test]
     fn traces_listing_paginates_with_stable_totals() {
-        let apps = all_apps();
-        let app = apps.iter().find(|a| a.name() == "QMCPACK").unwrap();
-        let mut traces = Vec::new();
-        for id in ["a", "b", "c", "d"] {
-            let mut rt = Runtime::new(DeviceSpec::test_small());
-            let rec = ValueExpert::builder().coarse(true).record(&mut rt, Vec::new()).unwrap();
-            app.run(&mut rt, Variant::Baseline).unwrap();
-            let bytes = rec.finish(&mut rt).unwrap();
-            traces.push((id.to_owned(), read_trace(&bytes).unwrap()));
-        }
-        let state = ServeState::new(ProfileStore::from_traces(traces).unwrap(), 4);
+        let dir = qmcpack_dir("listing", &["a", "b", "c", "d"]);
+        let state = ServeState::new(ProfileStore::load_dir(&dir).unwrap(), 4);
         let body = |target: &str| -> String {
             let (_, resp) = get(&state, target);
             assert_eq!(resp.status, Status::Ok, "{target}");
@@ -1008,6 +1002,7 @@ mod tests {
         assert_eq!(resp.status, Status::BadRequest);
         let (_, resp) = get(&state, "/traces?limit=lots");
         assert_eq!(resp.status, Status::BadRequest);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1048,13 +1043,8 @@ mod tests {
 
     #[test]
     fn loopback_roundtrip_and_graceful_shutdown() {
-        let state = qmcpack_state();
-        // Rebuild a store for the server (ServeState is not Clone).
-        let server = {
-            let trace = (*state.store().decoded("qmcpack").unwrap()).clone();
-            let store = ProfileStore::from_traces([("qmcpack".to_owned(), trace)]).unwrap();
-            Server::bind(store, "127.0.0.1:0", ServerConfig::default()).unwrap()
-        };
+        let server =
+            Server::bind(qmcpack_store(), "127.0.0.1:0", ServerConfig::default()).unwrap();
         let addr = server.addr();
         let fetch = |target: &str| -> String {
             let mut conn = TcpStream::connect(addr).unwrap();
@@ -1084,10 +1074,8 @@ mod tests {
 
     #[test]
     fn saturated_workers_shed_with_503_and_retry_after() {
-        let state = qmcpack_state();
         let server = {
-            let trace = (*state.store().decoded("qmcpack").unwrap()).clone();
-            let store = ProfileStore::from_traces([("qmcpack".to_owned(), trace)]).unwrap();
+            let store = qmcpack_store();
             let config = ServerConfig {
                 workers: 1,
                 shed_wait: Duration::from_millis(20),

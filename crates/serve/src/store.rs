@@ -1,17 +1,17 @@
-//! The two-tier profile store: every `.vex` trace of a directory,
-//! indexed at startup and decoded on demand under a memory budget.
+//! The profile store: every `.vex` trace of a directory, indexed at
+//! startup and streamed from its file for every report.
 //!
 //! A trace's id is its file stem (`darknet.vex` → `darknet`). Loading
-//! builds only the **index tier** — summary counts plus the object and
-//! kernel breakdowns, folded out of one cheap skip-records scan
-//! ([`vex_trace::index`]) — so startup cost tracks encoded bytes, never
-//! record counts, and the resident footprint of an idle store is a few
-//! KiB per trace. The **decoded tier** materializes a full
-//! [`RecordedTrace`] lazily on the first report/flowgraph request,
-//! accounts it in bytes, and evicts least-recently-used entries when a
-//! configured memory budget is exceeded; a re-request transparently
-//! re-decodes from disk. Reports are byte-identical whichever tier
-//! state they are served from.
+//! builds only the resident **index tier** — summary counts plus the
+//! object and kernel breakdowns, folded out of one cheap skip-records
+//! scan ([`vex_trace::index`]) — so startup cost tracks encoded bytes,
+//! never record counts, and an idle store holds a few KiB per trace.
+//! A report, flowgraph or diff replays its trace straight from the file
+//! ([`ProfileStore::profile`]), one projected batch at a time, exactly
+//! as `vex replay` does; no decoded trace is ever kept. What the store
+//! does keep is the rendered bodies, in its generation-keyed
+//! [`ReportCache`], whose retained bytes [`StoreOptions::memory_budget`]
+//! bounds.
 //!
 //! Loading is lenient by default: a corrupt trace is quarantined (and
 //! surfaced in `/traces` + `/metrics`) instead of failing the whole
@@ -19,21 +19,22 @@
 //! also *mutable* while serving: [`ProfileStore::ingest`] validates
 //! pushed trace bytes, writes them atomically (tmp file + rename) into
 //! the backing directory, and indexes them without a restart;
-//! [`ProfileStore::remove`] deletes a trace from both tiers and disk.
+//! [`ProfileStore::remove`] deletes a trace from the index and disk.
 
+use crate::cache::ReportCache;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use vex_core::profiler::{ReplayError, ValueExpert};
+use std::sync::{Arc, RwLock};
+use vex_core::profiler::{check_analysis_params, ProfilerBuilder, ReplayError, ValueExpert};
 use vex_core::report::Profile;
 use vex_gpu::hooks::ApiKind;
-use vex_trace::container::{read_trace_file, RecordedTrace, TraceFrame};
+use vex_trace::codec::DecodeError;
+use vex_trace::container::{read_trace_file, RecordedTrace, TraceFrame, TraceReader};
 use vex_trace::event::Event;
 use vex_trace::index::{index_trace_with, FrameEntry, TraceIndex};
 use vex_trace::summary::TraceSummary;
-use vex_trace::AccessRecord;
 
 /// One row of the `GET /traces` listing.
 #[derive(Debug, Clone, Serialize)]
@@ -139,9 +140,9 @@ pub struct TraceEntry {
     pub id: String,
     /// Incarnation token: process-unique, assigned when the entry is
     /// indexed. A delete + re-ingest under the same id yields a new
-    /// entry with a different generation, so report-cache keys and the
-    /// decoded tier can distinguish the incarnations and never serve a
-    /// previous trace's data for the new one.
+    /// entry with a different generation, so report-cache keys and
+    /// [`ProfileStore::profile`] can distinguish the incarnations and
+    /// never serve a previous trace's data for the new one.
     pub generation: u64,
     /// Header fields and per-event-type counts.
     pub summary: TraceSummary,
@@ -149,10 +150,8 @@ pub struct TraceEntry {
     pub objects: Vec<ObjectRow>,
     /// Per-kernel breakdown rows.
     pub kernels: Vec<KernelRow>,
-    /// Backing file, when the store is disk-backed (`None` for traces
-    /// handed in pre-decoded via [`ProfileStore::from_traces`], which
-    /// stay pinned in the decoded tier).
-    path: Option<PathBuf>,
+    /// Backing file.
+    path: PathBuf,
 }
 
 /// The next process-unique [`TraceEntry::generation`].
@@ -185,8 +184,6 @@ pub enum MutationError {
     NotFound(String),
     /// The uploaded bytes are not a valid trace. → 400
     InvalidTrace(String),
-    /// The store has no backing directory to write into. → 405
-    ReadOnly,
     /// Disk I/O failed. → 500
     Io(String),
 }
@@ -200,9 +197,6 @@ impl std::fmt::Display for MutationError {
             MutationError::Duplicate(id) => write!(f, "trace '{id}' already exists"),
             MutationError::NotFound(id) => write!(f, "no trace '{id}'"),
             MutationError::InvalidTrace(e) => write!(f, "not a valid trace: {e}"),
-            MutationError::ReadOnly => {
-                write!(f, "store is not disk-backed; ingest needs a trace directory")
-            }
             MutationError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
@@ -213,42 +207,23 @@ impl std::error::Error for MutationError {}
 /// Load/serve knobs of a [`ProfileStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreOptions {
-    /// Upper bound on resident decoded bytes (`None` = unbounded).
-    /// Least-recently-used decoded traces are evicted to stay under it;
-    /// the trace currently being served is never evicted, so a single
-    /// trace larger than the budget still serves.
+    /// Upper bound on the bytes of rendered bodies the report cache
+    /// retains (`None` = unbounded). Least-recently-used bodies are
+    /// evicted to stay under it; a body larger than the whole budget is
+    /// served but not kept. The index tier is always resident.
     pub memory_budget: Option<u64>,
     /// Fail the whole load on the first corrupt trace instead of
     /// quarantining it.
     pub strict: bool,
-    /// Evict a decoded trace idle for this long even while the tier fits
-    /// the memory budget (`None` = keep until LRU pressure). A fleet
-    /// backend's working set is bursty: a trace queried once at ingest
-    /// time would otherwise stay resident until enough *other* traffic
-    /// pushes it out. Pinned traces are exempt.
-    pub trace_ttl: Option<std::time::Duration>,
 }
 
-/// Gauges and counters of the two-tier store, rendered into `/metrics`.
+/// Gauges and counters of the store, rendered into `/metrics`.
 #[derive(Debug, Default)]
 pub struct StoreStats {
-    /// Bytes of decoded traces currently resident (gauge).
-    pub resident_bytes: AtomicU64,
-    /// Decoded traces currently resident (gauge).
-    pub resident_traces: AtomicU64,
     /// Configured memory budget, bytes (gauge; 0 = unbounded).
     pub memory_budget_bytes: AtomicU64,
-    /// Full decodes performed (cold materializations, including
-    /// re-decodes after eviction).
+    /// Traces streamed from disk by [`ProfileStore::profile`].
     pub decodes_total: AtomicU64,
-    /// Decoded traces evicted to stay under the budget.
-    pub evictions_total: AtomicU64,
-    /// Bytes released by evictions.
-    pub evicted_bytes_total: AtomicU64,
-    /// Decoded traces evicted for sitting idle past the TTL.
-    pub ttl_evictions_total: AtomicU64,
-    /// Configured idle TTL, seconds (gauge; 0 = disabled).
-    pub trace_ttl_seconds: AtomicU64,
     /// Traces accepted via ingest.
     pub ingested_total: AtomicU64,
     /// Ingest requests refused (bad id, duplicate, invalid bytes, io).
@@ -266,40 +241,19 @@ pub struct StoreStats {
     pub orphans_swept: AtomicU64,
 }
 
-/// One resident decoded trace.
-struct Resident {
-    trace: Arc<RecordedTrace>,
-    bytes: u64,
-    last_use: u64,
-    /// Wall-clock of the last lookup, for idle-TTL eviction (the `u64`
-    /// tick above orders LRU eviction; it carries no wall time).
-    last_touch: std::time::Instant,
-    /// Pinned entries ([`ProfileStore::from_traces`]) have no backing
-    /// file to re-decode from and are never evicted.
-    pinned: bool,
-}
-
-/// The decoded tier: id → resident trace, LRU-ordered by use tick.
-#[derive(Default)]
-struct DecodedTier {
-    map: HashMap<String, Resident>,
-    tick: u64,
-}
-
-/// Every trace of one directory: a resident index tier plus a bounded
-/// decoded tier.
+/// Every trace of one directory: a resident index tier, plus the
+/// rendered bodies of the reports streamed from it.
 pub struct ProfileStore {
     entries: RwLock<BTreeMap<String, Arc<TraceEntry>>>,
-    decoded: Mutex<DecodedTier>,
-    /// Serializes cold decodes: one materialization at a time bounds the
-    /// store's peak transient memory (decode scratch + the new trace)
-    /// regardless of how many cold traces are requested concurrently.
-    decode_flight: Mutex<()>,
     /// Trace files skipped at load. Mutable: a successful ingest under a
     /// quarantined file's id replaces the corrupt bytes and clears its
     /// row, so `/traces` never lists an id as both valid and quarantined.
     quarantined: RwLock<Vec<QuarantineRow>>,
-    dir: Option<PathBuf>,
+    /// Rendered report/flowgraph/diff bodies under
+    /// [`StoreOptions::memory_budget`]; keeps none until
+    /// [`Self::with_cache_entries`] sizes it.
+    bodies: ReportCache,
+    dir: PathBuf,
     opts: StoreOptions,
     stats: StoreStats,
 }
@@ -317,7 +271,7 @@ impl std::fmt::Debug for ProfileStore {
 
 impl ProfileStore {
     /// Loads every `*.vex` file under `dir` (non-recursive) with default
-    /// options: lenient loading, sequential decode, no memory budget.
+    /// options: lenient loading, no memory budget.
     ///
     /// # Errors
     ///
@@ -330,8 +284,8 @@ impl ProfileStore {
 
     /// [`load_dir`](Self::load_dir) with explicit [`StoreOptions`].
     ///
-    /// Startup indexes each trace with one skip-records scan — no trace
-    /// is fully decoded until its first report/flowgraph request.
+    /// Startup indexes each trace with one skip-records scan; no record
+    /// is decoded until a report streams the trace.
     ///
     /// # Errors
     ///
@@ -380,10 +334,9 @@ impl ProfileStore {
         }
         let store = ProfileStore {
             entries: RwLock::new(entries),
-            decoded: Mutex::new(DecodedTier::default()),
-            decode_flight: Mutex::new(()),
             quarantined: RwLock::new(quarantined),
-            dir: Some(dir.to_path_buf()),
+            bodies: ReportCache::new(0, opts.memory_budget),
+            dir: dir.to_path_buf(),
             opts: *opts,
             stats: StoreStats::default(),
         };
@@ -393,64 +346,6 @@ impl ProfileStore {
             .stats
             .memory_budget_bytes
             .store(opts.memory_budget.unwrap_or(0), Ordering::Relaxed);
-        store
-            .stats
-            .trace_ttl_seconds
-            .store(opts.trace_ttl.map(|d| d.as_secs()).unwrap_or(0), Ordering::Relaxed);
-        Ok(store)
-    }
-
-    /// A store over already-decoded traces (tests, embedding). The
-    /// traces have no backing file, so they are pinned resident in the
-    /// decoded tier and exempt from eviction.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] on duplicate ids.
-    pub fn from_traces(
-        traces: impl IntoIterator<Item = (String, RecordedTrace)>,
-    ) -> Result<Self, StoreError> {
-        let mut entries = BTreeMap::new();
-        let mut tier = DecodedTier::default();
-        for (id, trace) in traces {
-            let entry = TraceEntry {
-                id: id.clone(),
-                generation: next_generation(),
-                summary: summarize_decoded(&trace),
-                objects: object_rows(&trace),
-                kernels: kernel_rows(&trace),
-                path: None,
-            };
-            if entries.insert(id.clone(), Arc::new(entry)).is_some() {
-                return Err(StoreError(format!("duplicate trace id '{id}'")));
-            }
-            tier.tick += 1;
-            let tick = tier.tick;
-            tier.map.insert(
-                id,
-                Resident {
-                    bytes: approx_resident_bytes(&trace),
-                    trace: Arc::new(trace),
-                    last_use: tick,
-                    last_touch: std::time::Instant::now(),
-                    pinned: true,
-                },
-            );
-        }
-        let store = ProfileStore {
-            entries: RwLock::new(entries),
-            decoded: Mutex::new(tier),
-            decode_flight: Mutex::new(()),
-            quarantined: RwLock::new(Vec::new()),
-            dir: None,
-            opts: StoreOptions::default(),
-            stats: StoreStats::default(),
-        };
-        let tier = store.decoded.lock().unwrap_or_else(|e| e.into_inner());
-        let bytes: u64 = tier.map.values().map(|r| r.bytes).sum();
-        store.stats.resident_bytes.store(bytes, Ordering::Relaxed);
-        store.stats.resident_traces.store(tier.map.len() as u64, Ordering::Relaxed);
-        drop(tier);
         Ok(store)
     }
 
@@ -480,19 +375,27 @@ impl ProfileStore {
         self.quarantined.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// The store's tier gauges and counters.
+    /// The store's gauges and counters.
     pub fn stats(&self) -> &StoreStats {
         &self.stats
     }
 
-    /// Bytes of decoded traces currently resident.
-    pub fn resident_bytes(&self) -> u64 {
-        self.stats.resident_bytes.load(Ordering::Relaxed)
+    /// Keeps up to `entries` rendered bodies (0 keeps none) within the
+    /// memory budget.
+    #[must_use]
+    pub(crate) fn with_cache_entries(mut self, entries: usize) -> Self {
+        self.bodies = ReportCache::new(entries, self.opts.memory_budget);
+        self
     }
 
-    /// Decoded traces currently resident.
-    pub fn resident_traces(&self) -> usize {
-        self.stats.resident_traces.load(Ordering::Relaxed) as usize
+    /// The rendered-body cache.
+    pub fn cache(&self) -> &ReportCache {
+        &self.bodies
+    }
+
+    /// Bytes of rendered bodies the report cache currently retains.
+    pub fn resident_bytes(&self) -> u64 {
+        self.bodies.stats().bytes.load(Ordering::Relaxed)
     }
 
     /// The `GET /traces` listing rows, sorted by id.
@@ -514,74 +417,56 @@ impl ProfileStore {
             .collect()
     }
 
-    /// The decoded event stream of `id`, materializing it on first use.
-    ///
-    /// A resident trace is returned immediately (and its LRU tick
-    /// bumped). A cold one is decoded from its backing file in full
-    /// ([`read_trace_file`]), inserted into
-    /// the decoded tier, and the tier is evicted down to the memory
-    /// budget — never evicting the trace just requested.
+    /// Replays trace `id` under `params`, streaming its file one
+    /// projected batch at a time through
+    /// [`ProfilerBuilder::replay_reader`] — the path `vex replay` takes,
+    /// so every rendered surface matches the CLI byte for byte.
+    /// `generation` is the incarnation the caller keyed its cache entry
+    /// on. The file is opened under the index lock, and [`Self::ingest`]
+    /// renames and [`Self::remove`] unlinks only under its write lock, so
+    /// the opened file always belongs to that incarnation.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] if the id is unknown or the backing file fails to
-    /// decode (e.g. it was corrupted or removed after indexing).
-    pub fn decoded(&self, id: &str) -> Result<Arc<RecordedTrace>, StoreError> {
-        if let Some(trace) = self.lookup_resident(id) {
-            return Ok(trace);
-        }
-        // One cold decode at a time; losers of the race find the trace
-        // resident on the second lookup.
-        let _flight = self.decode_flight.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(trace) = self.lookup_resident(id) {
-            return Ok(trace);
-        }
-        let entry = self.entry(id).ok_or_else(|| StoreError(format!("no trace '{id}'")))?;
-        let path = entry.path.as_ref().ok_or_else(|| {
-            // Pinned traces are inserted resident at construction; a
-            // pathless entry missing from the tier means it was deleted
-            // concurrently.
-            StoreError(format!("trace '{id}' is gone"))
-        })?;
-        let trace = Arc::new(
-            read_trace_file(path)
-                .map_err(|e| StoreError(format!("cannot decode {}: {e}", path.display())))?,
-        );
+    /// [`StoreError`] if `id` no longer names that incarnation, or its
+    /// file fails to open, decode or replay under `params`.
+    pub fn profile(
+        &self,
+        id: &str,
+        generation: u64,
+        params: &ReportParams,
+    ) -> Result<Profile, StoreError> {
+        let (path, file) = {
+            let entries = self.entries.read().unwrap_or_else(|e| e.into_inner());
+            let entry = entries
+                .get(id)
+                .filter(|e| e.generation == generation)
+                .ok_or_else(|| StoreError(format!("no trace '{id}'")))?;
+            (entry.path.clone(), std::fs::File::open(&entry.path))
+        };
+        let cannot_decode =
+            |e: DecodeError| StoreError(format!("cannot decode {}: {e}", path.display()));
+        let file = file.map_err(|e| cannot_decode(e.into()))?;
         self.stats.decodes_total.fetch_add(1, Ordering::Relaxed);
-        let bytes = approx_resident_bytes(&trace);
-        let mut tier = self.decoded.lock().unwrap_or_else(|e| e.into_inner());
-        tier.tick += 1;
-        let tick = tier.tick;
-        tier.map.insert(
-            id.to_owned(),
-            Resident {
-                trace: trace.clone(),
-                bytes,
-                last_use: tick,
-                last_touch: std::time::Instant::now(),
-                pinned: false,
-            },
-        );
-        // A concurrent delete (or delete + re-ingest under the same id)
-        // may have raced this decode: [`Self::remove`] cleared the tier
-        // before our insert landed. If the index no longer holds the
-        // entry we decoded from, the resident is a ghost — drop it
-        // instead of letting it hold memory (or serve a previous
-        // incarnation's data) indefinitely. The in-flight request still
-        // gets the trace it asked for.
-        let current = self
-            .entries
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(id)
-            .map(|e| e.generation);
-        if current == Some(entry.generation) {
-            self.evict_over_budget(&mut tier, id);
-        } else {
-            tier.map.remove(id);
-        }
-        self.sync_tier_gauges(&tier);
-        Ok(trace)
+        let reader = TraceReader::new(std::io::BufReader::new(file)).map_err(cannot_decode)?;
+        params.builder().replay_reader(reader).map_err(|e| match e {
+            ReplayError::Decode(e) => cannot_decode(e),
+            e => StoreError(e.to_string()),
+        })
+    }
+
+    /// The whole decoded event stream of `id`, read from its file on
+    /// every call ([`read_trace_file`]); the server never calls this,
+    /// it streams through [`Self::profile`].
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] if the id is unknown or its file fails to decode.
+    pub fn decoded(&self, id: &str) -> Result<Arc<RecordedTrace>, StoreError> {
+        let entry = self.entry(id).ok_or_else(|| StoreError(format!("no trace '{id}'")))?;
+        read_trace_file(&entry.path)
+            .map(Arc::new)
+            .map_err(|e| StoreError(format!("cannot decode {}: {e}", entry.path.display())))
     }
 
     /// Validates `bytes` as a trace, writes them atomically into the
@@ -614,7 +499,7 @@ impl ProfileStore {
         if !valid_trace_id(id) {
             return Err(MutationError::BadId(id.to_owned()));
         }
-        let dir = self.dir.as_ref().ok_or(MutationError::ReadOnly)?;
+        let dir = &self.dir;
         // Cheap duplicate pre-check so an obvious conflict skips the
         // scan and the disk write; the authoritative check repeats under
         // the write lock below.
@@ -623,9 +508,8 @@ impl ProfileStore {
         }
         // Validate before taking the write lock: a skip-records scan of
         // the bytes, folding the index-tier views in the same pass.
-        let entry =
-            index_entry_bytes(id.to_owned(), bytes, Some(dir.join(format!("{id}.vex"))))
-                .map_err(|e| MutationError::InvalidTrace(e.to_string()))?;
+        let entry = index_entry_bytes(id.to_owned(), bytes, dir.join(format!("{id}.vex")))
+            .map_err(|e| MutationError::InvalidTrace(e.to_string()))?;
         // Write the tmp file before taking the lock, so read endpoints
         // never block behind a multi-MB disk write. The nonce keeps
         // concurrent ingests of the same id off each other's tmp file.
@@ -706,8 +590,7 @@ impl ProfileStore {
         }
     }
 
-    /// Deletes `id` from the index tier, the decoded tier, and (when
-    /// disk-backed) the directory.
+    /// Deletes `id` from the index tier and the directory.
     ///
     /// # Errors
     ///
@@ -716,97 +599,18 @@ impl ProfileStore {
     pub fn remove(&self, id: &str) -> Result<(), MutationError> {
         let mut entries = self.entries.write().unwrap_or_else(|e| e.into_inner());
         let entry = entries.remove(id).ok_or_else(|| MutationError::NotFound(id.to_owned()))?;
-        if let Some(path) = &entry.path {
-            match std::fs::remove_file(path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    // Roll the index entry back: the file is still there.
-                    entries.insert(id.to_owned(), entry);
-                    return Err(MutationError::Io(e.to_string()));
-                }
+        match std::fs::remove_file(&entry.path) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => {
+                // Roll the index entry back: the file is still there.
+                entries.insert(id.to_owned(), entry);
+                return Err(MutationError::Io(e.to_string()));
             }
         }
         drop(entries);
-        let mut tier = self.decoded.lock().unwrap_or_else(|e| e.into_inner());
-        tier.map.remove(id);
-        self.sync_tier_gauges(&tier);
-        drop(tier);
         self.stats.deleted_total.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    fn lookup_resident(&self, id: &str) -> Option<Arc<RecordedTrace>> {
-        let mut tier = self.decoded.lock().unwrap_or_else(|e| e.into_inner());
-        self.sweep_expired_locked(&mut tier, Some(id));
-        tier.tick += 1;
-        let tick = tier.tick;
-        let resident = tier.map.get_mut(id)?;
-        resident.last_use = tick;
-        resident.last_touch = std::time::Instant::now();
-        Some(resident.trace.clone())
-    }
-
-    /// Evicts decoded traces idle longer than the configured TTL.
-    /// Returns how many were evicted. Called on every tier lookup and
-    /// by the server's `/metrics` handler, so idle traces are released
-    /// even on a store that only ever serves one hot id — the scrape
-    /// interval bounds how long an expired trace can linger.
-    pub fn sweep_expired(&self) -> usize {
-        let mut tier = self.decoded.lock().unwrap_or_else(|e| e.into_inner());
-        self.sweep_expired_locked(&mut tier, None)
-    }
-
-    fn sweep_expired_locked(&self, tier: &mut DecodedTier, keep: Option<&str>) -> usize {
-        let Some(ttl) = self.opts.trace_ttl else { return 0 };
-        let expired: Vec<String> = tier
-            .map
-            .iter()
-            .filter(|(id, r)| {
-                !r.pinned && Some(id.as_str()) != keep && r.last_touch.elapsed() >= ttl
-            })
-            .map(|(id, _)| id.clone())
-            .collect();
-        for id in &expired {
-            if let Some(evicted) = tier.map.remove(id) {
-                self.stats.ttl_evictions_total.fetch_add(1, Ordering::Relaxed);
-                self.stats.evicted_bytes_total.fetch_add(evicted.bytes, Ordering::Relaxed);
-            }
-        }
-        if !expired.is_empty() {
-            self.sync_tier_gauges(tier);
-        }
-        expired.len()
-    }
-
-    /// Evicts least-recently-used unpinned traces until the tier fits
-    /// the budget; `keep` (the trace being served right now) is exempt,
-    /// so one trace larger than the whole budget still serves.
-    fn evict_over_budget(&self, tier: &mut DecodedTier, keep: &str) {
-        let Some(budget) = self.opts.memory_budget else { return };
-        loop {
-            let resident: u64 = tier.map.values().map(|r| r.bytes).sum();
-            if resident <= budget {
-                return;
-            }
-            let coldest = tier
-                .map
-                .iter()
-                .filter(|(id, r)| !r.pinned && id.as_str() != keep)
-                .min_by_key(|(_, r)| r.last_use)
-                .map(|(id, _)| id.clone());
-            let Some(coldest) = coldest else { return };
-            if let Some(evicted) = tier.map.remove(&coldest) {
-                self.stats.evictions_total.fetch_add(1, Ordering::Relaxed);
-                self.stats.evicted_bytes_total.fetch_add(evicted.bytes, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn sync_tier_gauges(&self, tier: &DecodedTier) {
-        let bytes: u64 = tier.map.values().map(|r| r.bytes).sum();
-        self.stats.resident_bytes.store(bytes, Ordering::Relaxed);
-        self.stats.resident_traces.store(tier.map.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -852,14 +656,14 @@ fn index_entry(id: String, path: &Path) -> Result<TraceEntry, vex_trace::codec::
     let index = index_trace_with(std::io::BufReader::new(file), |entry, frame| {
         views.visit(entry, frame);
     })?;
-    Ok(views.into_entry(id, index, Some(path.to_path_buf())))
+    Ok(views.into_entry(id, index, path.to_path_buf()))
 }
 
 /// [`index_entry`] over in-memory bytes (the ingest path).
 fn index_entry_bytes(
     id: String,
     bytes: &[u8],
-    path: Option<PathBuf>,
+    path: PathBuf,
 ) -> Result<TraceEntry, vex_trace::codec::DecodeError> {
     let mut views = ViewScan::default();
     let index = index_trace_with(bytes, |entry, frame| views.visit(entry, frame))?;
@@ -926,12 +730,7 @@ impl ViewScan {
         })
     }
 
-    fn into_entry(
-        mut self,
-        id: String,
-        index: TraceIndex,
-        path: Option<PathBuf>,
-    ) -> TraceEntry {
+    fn into_entry(mut self, id: String, index: TraceIndex, path: PathBuf) -> TraceEntry {
         for (row, ctx) in self.objects.iter_mut().zip(&self.object_contexts) {
             row.context = self
                 .contexts
@@ -950,121 +749,10 @@ impl ViewScan {
     }
 }
 
-/// A measured estimate of one decoded trace's in-memory footprint,
-/// bytes — the decoded tier's accounting unit. Deterministic for a
-/// given trace, so budget behaviour is reproducible.
-fn approx_resident_bytes(trace: &RecordedTrace) -> u64 {
-    let record = std::mem::size_of::<AccessRecord>() as u64;
-    let mut total = std::mem::size_of::<RecordedTrace>() as u64;
-    for event in &trace.events {
-        // Event enum + one Arc indirection of bookkeeping.
-        total += 64;
-        match event {
-            Event::Batch { records, .. } => total += records.len() as u64 * record,
-            Event::Api { captured, .. } => total += captured.captured_bytes() + 64,
-            _ => {}
-        }
-    }
-    for ctx in trace.contexts.values() {
-        total += ctx.len() as u64 + 48;
-    }
-    total
-}
-
-/// A [`TraceSummary`] over an already-decoded trace with no backing
-/// bytes (disk-backed loading and `vex info` take theirs from the index
-/// scan in [`vex_trace::index`]).
-fn summarize_decoded(trace: &RecordedTrace) -> TraceSummary {
-    let mut s = TraceSummary {
-        version: trace.version,
-        flags: trace.flags,
-        device: trace.spec.name.clone(),
-        contexts: trace.contexts.len() as u64,
-        batch_bytes: trace.batch_bytes,
-        stats: trace.stats,
-        app_us: trace.app_us,
-        ..TraceSummary::default()
-    };
-    for event in &trace.events {
-        match event {
-            Event::Api { event, .. } => {
-                s.api_events += 1;
-                if matches!(event.kind, ApiKind::KernelLaunch { .. }) {
-                    s.kernel_launches += 1;
-                }
-            }
-            Event::LaunchBegin { .. } => s.instrumented_launches += 1,
-            Event::SkippedLaunch { .. } => s.skipped_launches += 1,
-            Event::Batch { records, .. } => {
-                s.batches += 1;
-                s.records += records.len() as u64;
-            }
-            Event::LaunchEnd { .. } => {}
-        }
-    }
-    s
-}
-
-fn object_rows(trace: &RecordedTrace) -> Vec<ObjectRow> {
-    let mut rows: Vec<ObjectRow> = Vec::new();
-    let mut index: BTreeMap<u64, usize> = BTreeMap::new();
-    for event in &trace.events {
-        if let Event::Api { event, .. } = event {
-            match &event.kind {
-                ApiKind::Malloc { info } => {
-                    index.insert(info.id.0, rows.len());
-                    rows.push(ObjectRow {
-                        id: info.id.0,
-                        label: info.label.clone(),
-                        addr: info.addr,
-                        size_bytes: info.size,
-                        context: trace.contexts.get(&info.context).cloned().unwrap_or_else(
-                            || format!("<unrecorded context {}>", info.context.0),
-                        ),
-                        freed: false,
-                    });
-                }
-                ApiKind::Free { info } => {
-                    if let Some(&i) = index.get(&info.id.0) {
-                        rows[i].freed = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    rows
-}
-
-fn kernel_rows(trace: &RecordedTrace) -> Vec<KernelRow> {
-    let mut by_name: BTreeMap<String, KernelRow> = BTreeMap::new();
-    fn row<'a>(by_name: &'a mut BTreeMap<String, KernelRow>, name: &str) -> &'a mut KernelRow {
-        by_name.entry(name.to_owned()).or_insert_with(|| KernelRow {
-            name: name.to_owned(),
-            instrumented_launches: 0,
-            skipped_launches: 0,
-            records: 0,
-        })
-    }
-    for event in &trace.events {
-        match event {
-            Event::LaunchBegin { info } => {
-                row(&mut by_name, &info.kernel_name).instrumented_launches += 1
-            }
-            Event::SkippedLaunch { info } => {
-                row(&mut by_name, &info.kernel_name).skipped_launches += 1
-            }
-            Event::Batch { info, records } => {
-                row(&mut by_name, &info.kernel_name).records += records.len() as u64
-            }
-            _ => {}
-        }
-    }
-    by_name.into_values().collect()
-}
-
-/// Analysis parameters of a report/flowgraph materialization — the
-/// `vex replay` flag surface, minus output targets.
+/// The analysis parameters of a replay: what the `vex replay`, `vex
+/// diff`, `vex profile` and `vex record` analysis flags and the
+/// server's report/flowgraph/diff queries parse into, and the one place
+/// they become a [`ProfilerBuilder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReportParams {
     /// Run the coarse pass (default true).
@@ -1093,11 +781,38 @@ impl ReportParams {
             self.coarse, self.fine, self.races, self.reuse, self.shards
         )
     }
+
+    /// Rejects parameters no replay can run: neither pass enabled, a
+    /// reuse line size that is not a power of two, or too many shards.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first problem.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.coarse && !self.fine {
+            return Err("at least one of coarse/fine must stay enabled".into());
+        }
+        check_analysis_params(self.reuse, self.shards)
+    }
+
+    /// The profiler these parameters configure — exactly the one
+    /// `vex replay` builds from the equivalent flags.
+    pub fn builder(&self) -> ProfilerBuilder {
+        let b = ValueExpert::builder()
+            .coarse(self.coarse)
+            .fine(self.fine)
+            .race_detection(self.races)
+            .analysis_shards(self.shards);
+        match self.reuse {
+            Some(line) => b.reuse_distance(line),
+            None => b,
+        }
+    }
 }
 
-/// Replays `trace` under `params` — exactly the engine configuration
-/// `vex replay` builds from the equivalent flags, so every rendered
-/// surface matches the CLI byte for byte.
+/// Replays an in-memory `trace` under `params` through
+/// [`ReportParams::builder`]: the library reference the server's
+/// streamed reports are checked against.
 ///
 /// # Errors
 ///
@@ -1106,15 +821,7 @@ pub fn materialize(
     trace: &RecordedTrace,
     params: &ReportParams,
 ) -> Result<Profile, ReplayError> {
-    let mut b = ValueExpert::builder()
-        .coarse(params.coarse)
-        .fine(params.fine)
-        .race_detection(params.races)
-        .analysis_shards(params.shards);
-    if let Some(line) = params.reuse {
-        b = b.reuse_distance(line);
-    }
-    b.replay(trace)
+    params.builder().replay(trace)
 }
 
 #[cfg(test)]
@@ -1124,6 +831,100 @@ mod tests {
     use vex_gpu::timing::DeviceSpec;
     use vex_trace::container::read_trace;
     use vex_workloads::{all_apps, Variant};
+
+    /// The [`TraceSummary`] of a decoded trace: the oracle the index
+    /// scan's summary is checked against.
+    fn summarize_decoded(trace: &RecordedTrace) -> TraceSummary {
+        let mut s = TraceSummary {
+            version: trace.version,
+            flags: trace.flags,
+            device: trace.spec.name.clone(),
+            contexts: trace.contexts.len() as u64,
+            batch_bytes: trace.batch_bytes,
+            stats: trace.stats,
+            app_us: trace.app_us,
+            ..TraceSummary::default()
+        };
+        for event in &trace.events {
+            match event {
+                Event::Api { event, .. } => {
+                    s.api_events += 1;
+                    if matches!(event.kind, ApiKind::KernelLaunch { .. }) {
+                        s.kernel_launches += 1;
+                    }
+                }
+                Event::LaunchBegin { .. } => s.instrumented_launches += 1,
+                Event::SkippedLaunch { .. } => s.skipped_launches += 1,
+                Event::Batch { records, .. } => {
+                    s.batches += 1;
+                    s.records += records.len() as u64;
+                }
+                Event::LaunchEnd { .. } => {}
+            }
+        }
+        s
+    }
+
+    fn object_rows(trace: &RecordedTrace) -> Vec<ObjectRow> {
+        let mut rows: Vec<ObjectRow> = Vec::new();
+        let mut index: BTreeMap<u64, usize> = BTreeMap::new();
+        for event in &trace.events {
+            if let Event::Api { event, .. } = event {
+                match &event.kind {
+                    ApiKind::Malloc { info } => {
+                        index.insert(info.id.0, rows.len());
+                        rows.push(ObjectRow {
+                            id: info.id.0,
+                            label: info.label.clone(),
+                            addr: info.addr,
+                            size_bytes: info.size,
+                            context: trace.contexts.get(&info.context).cloned().unwrap_or_else(
+                                || format!("<unrecorded context {}>", info.context.0),
+                            ),
+                            freed: false,
+                        });
+                    }
+                    ApiKind::Free { info } => {
+                        if let Some(&i) = index.get(&info.id.0) {
+                            rows[i].freed = true;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        rows
+    }
+
+    fn kernel_rows(trace: &RecordedTrace) -> Vec<KernelRow> {
+        let mut by_name: BTreeMap<String, KernelRow> = BTreeMap::new();
+        fn row<'a>(
+            by_name: &'a mut BTreeMap<String, KernelRow>,
+            name: &str,
+        ) -> &'a mut KernelRow {
+            by_name.entry(name.to_owned()).or_insert_with(|| KernelRow {
+                name: name.to_owned(),
+                instrumented_launches: 0,
+                skipped_launches: 0,
+                records: 0,
+            })
+        }
+        for event in &trace.events {
+            match event {
+                Event::LaunchBegin { info } => {
+                    row(&mut by_name, &info.kernel_name).instrumented_launches += 1
+                }
+                Event::SkippedLaunch { info } => {
+                    row(&mut by_name, &info.kernel_name).skipped_launches += 1
+                }
+                Event::Batch { info, records } => {
+                    row(&mut by_name, &info.kernel_name).records += records.len() as u64
+                }
+                _ => {}
+            }
+        }
+        by_name.into_values().collect()
+    }
 
     fn recorded_bytes(app_name: &str) -> Vec<u8> {
         let apps = all_apps();
@@ -1166,8 +967,8 @@ mod tests {
         let alpha = store.entry("alpha").unwrap();
         assert_eq!(alpha.summary.instrumented_launches, trace_launches(&trace));
         assert!(store.entry("gamma").is_none());
-        // Startup is index-only: nothing decoded yet.
-        assert_eq!(store.resident_traces(), 0);
+        // Startup is index-only: nothing streamed or kept yet.
+        assert_eq!(store.stats().decodes_total.load(Ordering::Relaxed), 0);
         assert_eq!(store.resident_bytes(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1291,8 +1092,9 @@ mod tests {
 
     #[test]
     fn static_views_cover_objects_and_kernels() {
-        let trace = recorded("QMCPACK");
-        let store = ProfileStore::from_traces([("q".to_owned(), trace)]).expect("unique ids");
+        let dir = temp_dir("static");
+        std::fs::write(dir.join("q.vex"), recorded_bytes("QMCPACK")).unwrap();
+        let store = ProfileStore::load_dir(&dir).unwrap();
         let t = store.entry("q").unwrap();
         assert!(!t.objects.is_empty(), "workload allocates");
         assert!(!t.kernels.is_empty(), "workload launches kernels");
@@ -1306,9 +1108,8 @@ mod tests {
             t.kernels.iter().map(|k| k.instrumented_launches).sum::<u64>()
         );
         assert_eq!(t.summary.records, t.kernels.iter().map(|k| k.records).sum::<u64>());
-        // Pinned traces are resident from construction.
-        assert_eq!(store.resident_traces(), 1);
         assert!(store.decoded("q").is_ok());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1344,34 +1145,46 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The default report of `id`, streamed by the store and kept in
+    /// its body cache.
+    fn report_body(store: &ProfileStore, id: &str) -> Vec<u8> {
+        let generation = store.entry(id).unwrap().generation;
+        let value = store.cache().get_or_compute(&format!("{id}@{generation}"), || {
+            let profile = store.profile(id, generation, &ReportParams::default());
+            let text = profile.map_err(|e| e.0)?.render_text_document();
+            Ok(crate::http::Response::text(crate::http::Status::Ok, text))
+        });
+        value.as_ref().as_ref().unwrap().body.clone()
+    }
+
     #[test]
     fn lazy_decode_then_evict_under_budget() {
+        // Reports stream from disk on demand; the budget bounds the
+        // rendered bodies the store keeps.
         let dir = temp_dir("evict");
         let bytes = recorded_bytes("QMCPACK");
-        std::fs::write(dir.join("a.vex"), &bytes).unwrap();
-        std::fs::write(dir.join("b.vex"), &bytes).unwrap();
-        std::fs::write(dir.join("c.vex"), &bytes).unwrap();
-        // Budget of one byte: only the trace under active service stays.
-        let opts = StoreOptions { memory_budget: Some(1), ..StoreOptions::default() };
-        let store = ProfileStore::load_dir_with(&dir, &opts).unwrap();
-        assert_eq!(store.resident_traces(), 0);
-
-        let a = store.decoded("a").unwrap();
-        assert_eq!(store.resident_traces(), 1, "the requested trace is never evicted");
-        let a_bytes = store.resident_bytes();
-        assert!(a_bytes > 0);
-        let direct = read_trace(&bytes).unwrap();
-        assert_eq!(a.events.len(), direct.events.len());
-
-        store.decoded("b").unwrap();
-        assert_eq!(store.resident_traces(), 1, "a evicted for b under the budget");
-        store.decoded("c").unwrap();
-        assert_eq!(store.resident_traces(), 1);
-        assert_eq!(store.stats().evictions_total.load(Ordering::Relaxed), 2);
-        // Re-requesting a re-decodes transparently.
-        let a2 = store.decoded("a").unwrap();
-        assert_eq!(a2.events.len(), a.events.len());
+        for id in ["a", "b", "c"] {
+            std::fs::write(dir.join(format!("{id}.vex")), &bytes).unwrap();
+        }
+        let direct = materialize(&read_trace(&bytes).unwrap(), &ReportParams::default());
+        let direct = direct.unwrap().render_text_document().into_bytes();
+        let size = direct.len() as u64;
+        // A budget of one body: only the latest stays.
+        let opts = StoreOptions { memory_budget: Some(size), ..StoreOptions::default() };
+        let store = ProfileStore::load_dir_with(&dir, &opts).unwrap().with_cache_entries(8);
+        for id in ["a", "b", "c"] {
+            assert_eq!(report_body(&store, id), direct, "{id} streams the direct report");
+            assert_eq!(store.resident_bytes(), size, "{id}");
+        }
+        assert_eq!(store.cache().stats().budget_evictions.load(Ordering::Relaxed), 2);
+        // Re-requesting a streams it again, byte for byte.
+        assert_eq!(report_body(&store, "a"), direct);
         assert_eq!(store.stats().decodes_total.load(Ordering::Relaxed), 4);
+        // A budget below one body serves it but keeps nothing.
+        let opts = StoreOptions { memory_budget: Some(size - 1), ..StoreOptions::default() };
+        let tiny = ProfileStore::load_dir_with(&dir, &opts).unwrap().with_cache_entries(8);
+        assert_eq!(report_body(&tiny, "a"), direct);
+        assert_eq!(tiny.resident_bytes(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1381,11 +1194,14 @@ mod tests {
         let bytes = recorded_bytes("QMCPACK");
         std::fs::write(dir.join("a.vex"), &bytes).unwrap();
         std::fs::write(dir.join("b.vex"), &bytes).unwrap();
-        let store = ProfileStore::load_dir(&dir).unwrap();
-        store.decoded("a").unwrap();
-        store.decoded("b").unwrap();
-        assert_eq!(store.resident_traces(), 2);
-        assert_eq!(store.stats().evictions_total.load(Ordering::Relaxed), 0);
+        let store = ProfileStore::load_dir(&dir).unwrap().with_cache_entries(8);
+        let a = report_body(&store, "a");
+        report_body(&store, "b");
+        assert_eq!(store.resident_bytes(), 2 * a.len() as u64);
+        assert_eq!(store.cache().stats().budget_evictions.load(Ordering::Relaxed), 0);
+        // Cache hits stream nothing.
+        report_body(&store, "a");
+        assert_eq!(store.stats().decodes_total.load(Ordering::Relaxed), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1400,10 +1216,10 @@ mod tests {
         assert_eq!(row.id, "pushed");
         assert!(dir.join("pushed.vex").is_file());
         assert_eq!(store.ids(), vec!["pushed"]);
-        // Queryable without restart: decoded tier materializes from the
-        // file just written.
-        let trace = store.decoded("pushed").unwrap();
-        assert!(!trace.events.is_empty());
+        // Queryable without restart: the report streams from the file
+        // just written.
+        let generation = store.entry("pushed").unwrap().generation;
+        assert!(store.profile("pushed", generation, &ReportParams::default()).is_ok());
 
         // Duplicate id is refused, store unchanged.
         assert!(matches!(store.ingest("pushed", &bytes), Err(MutationError::Duplicate(_))));
@@ -1420,23 +1236,15 @@ mod tests {
         assert_eq!(store.stats().ingested_total.load(Ordering::Relaxed), 1);
         assert!(store.stats().ingest_errors_total.load(Ordering::Relaxed) >= 6);
 
-        // Delete removes every tier and the file.
+        // Delete removes the entry and the file; a re-ingest under the
+        // same id is a new incarnation the old generation cannot reach.
         store.remove("pushed").unwrap();
         assert!(store.is_empty());
         assert!(!dir.join("pushed.vex").exists());
-        assert_eq!(store.resident_traces(), 0);
         assert!(matches!(store.remove("pushed"), Err(MutationError::NotFound(_))));
+        store.ingest("pushed", &bytes).unwrap();
+        assert!(store.profile("pushed", generation, &ReportParams::default()).is_err());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn from_traces_store_is_read_only_for_ingest() {
-        let store = ProfileStore::from_traces([("q".to_owned(), recorded("QMCPACK"))]).unwrap();
-        let bytes = recorded_bytes("QMCPACK");
-        assert!(matches!(store.ingest("x", &bytes), Err(MutationError::ReadOnly)));
-        // Deleting a pinned trace still works (no file involved).
-        store.remove("q").unwrap();
-        assert!(store.is_empty());
     }
 
     #[test]

@@ -610,9 +610,16 @@ fn record_flags(rec: &AccessRecord) -> u8 {
     flags
 }
 
-/// Splits the next length-prefixed column off `buf` at `*pos`.
+/// Splits the next length-prefixed column of a nonempty batch off `buf`
+/// at `*pos`. Such a column is never empty — the pc column holds its
+/// dictionary and each RLE column at least one (value, run) pair — so an
+/// empty one fails here, as the truncated varint decoding its contents
+/// would hit, whether or not the column is demanded.
 fn take_column<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], &'static str> {
     let len = read_uvarint(buf, pos)?;
+    if len == 0 {
+        return Err("truncated varint");
+    }
     if len > (buf.len() - *pos) as u64 {
         return Err("column length exceeds payload");
     }
@@ -701,8 +708,8 @@ fn decode_rle_u8_column(
 /// # Errors
 ///
 /// The same structural errors as [`decode_columnar_batch`] (bad count,
-/// column lengths exceeding the payload, trailing bytes); column
-/// *contents* are not validated.
+/// an empty column under a nonzero count, column lengths exceeding the
+/// payload, trailing bytes); column *contents* are not validated.
 pub fn scan_columnar_batch(buf: &[u8]) -> Result<u64, &'static str> {
     let mut pos = 0usize;
     let count = read_uvarint(buf, &mut pos)?;
@@ -736,7 +743,8 @@ pub fn decode_columnar_batch(buf: &[u8]) -> Result<Vec<AccessRecord>, &'static s
 /// Decodes a v2 columnar batch payload, materializing only the columns
 /// in `cols` (the full decode is the [`ColumnSet::ALL`] projection).
 /// The batch is always walked structurally — record count, the seven
-/// column length prefixes, the trailing-bytes check — but the contents
+/// column length prefixes (none of them zero), the trailing-bytes
+/// check — but the contents
 /// of an undemanded column are never bit-unpacked or validated; the
 /// corresponding [`DecodedBatch`] vectors come back empty.
 ///
@@ -1270,14 +1278,14 @@ mod tests {
 
     #[test]
     fn columnar_batch_rejects_bad_pc_dictionary() {
-        // A dictionary entry outside the u32 range. All seven column
-        // prefixes must be present (the decoder slices them before
-        // reading any contents), but only the pc column needs bytes.
+        // A dictionary entry outside the u32 range. All seven columns
+        // must be present and nonempty (the decoder slices them before
+        // reading any contents); the others each hold one valid run.
         let mut buf = Vec::new();
         write_uvarint(&mut buf, 1);
         buf.extend_from_slice(&pc_col(&[1 << 33], &[]));
         for _ in 0..6 {
-            buf.extend_from_slice(&raw_col(&[]));
+            buf.extend_from_slice(&rle_col(&[(0, 1)]));
         }
         assert_eq!(decode_columnar_batch(&buf), Err("pc dictionary entry exceeds u32 range"));
         // An empty dictionary, and one larger than the record count.
@@ -1286,7 +1294,7 @@ mod tests {
             write_uvarint(&mut buf, 1);
             buf.extend_from_slice(&pc_col(dict, &[0]));
             for _ in 0..6 {
-                buf.extend_from_slice(&raw_col(&[]));
+                buf.extend_from_slice(&rle_col(&[(0, 1)]));
             }
             assert_eq!(decode_columnar_batch(&buf), Err("pc dictionary size out of range"));
         }
@@ -1299,6 +1307,21 @@ mod tests {
             buf.extend_from_slice(&rle_col(&[col]));
         }
         assert_eq!(decode_columnar_batch(&buf), Err("pc index out of dictionary range"));
+    }
+
+    #[test]
+    fn empty_column_under_a_nonzero_count_fails_the_structural_walk() {
+        // Seven empty columns posing as 2^24 records: every nonempty
+        // batch's columns hold at least one varint, so the walk fails the
+        // first column whether or not it is demanded.
+        let mut buf = Vec::new();
+        write_uvarint(&mut buf, MAX_BATCH_RECORDS);
+        buf.extend_from_slice(&[0; 7]);
+        assert_eq!(scan_columnar_batch(&buf), Err("truncated varint"));
+        for cols in [ColumnSet::NONE, ColumnSet::THREAD, ColumnSet::ALL] {
+            let count = decode_columnar_batch_projected(&buf, cols).map(|b| b.count);
+            assert_eq!(count, Err("truncated varint"), "{cols:?}");
+        }
     }
 
     #[test]

@@ -496,6 +496,52 @@ fn truncation_mid_batch_fails_identically() {
     assert_identical_decode_error(cut, "ends mid-frame");
 }
 
+/// A batch claiming the maximum 2^24 records over seven empty columns —
+/// a few bytes posing as half a GiB of rows — fails as the truncated
+/// varint the full decode reports, on every path: the full and projected
+/// decodes (`NONE` included), the streamed replays (coarse-only
+/// included), the skip-records index that `vex info` and the store use,
+/// and a push into `vex serve`, which answers 400 and writes nothing.
+#[test]
+fn empty_columns_under_a_nonzero_count_fail_everywhere() {
+    let batches: Vec<Vec<AccessRecord>> =
+        (0..3).map(|k| (k * 20..k * 20 + 20).map(varied_record).collect()).collect();
+    let bytes = write_trace(&batches);
+    let (frame_start, len) = find_batch_frame(&bytes, 1, &batches[1]);
+    let mut payload = vec![1u8];
+    codec::write_uvarint(&mut payload, 1 << 24);
+    payload.extend_from_slice(&[0; 7]);
+    let corrupt = replace_frame(&bytes, frame_start, len, &payload);
+    assert_identical_decode_error(&corrupt, "truncated varint");
+
+    let index = vex_trace::index::index_trace(corrupt.as_slice()).expect_err("index fails");
+    assert!(matches!(index, codec::DecodeError::BadFrame { .. }), "{index:?}");
+    assert!(index.to_string().contains("truncated varint"), "{index}");
+
+    let dir = std::env::temp_dir().join(format!("vex-empty-columns-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("crafted.vex").display().to_string();
+    std::fs::write(&path, &corrupt).expect("write trace");
+    let mut out = Vec::new();
+    run(&parse_args(["info", path.as_str()]).expect("info parses"), &mut out)
+        .expect("a damaged trace with an intact prefix reports its salvage");
+    let info = String::from_utf8(out).expect("utf8");
+    assert!(info.contains("damaged trace") && info.contains("truncated varint"), "{info}");
+    assert!(!info.contains("16777216"), "{info}");
+
+    let served = dir.join("served");
+    std::fs::create_dir_all(&served).expect("create store dir");
+    let store = vex_serve::ProfileStore::load_dir(&served).expect("empty store loads");
+    let state = vex_serve::ServeState::new(store, 0).with_ingest(true);
+    let (request, _) = vex_serve::http::parse_request(b"POST /ingest/crafted HTTP/1.1\r\n\r\n")
+        .expect("parse");
+    let (_, response) = state.handle_with_body(&request, &corrupt);
+    assert_eq!(response.status, vex_serve::Status::BadRequest);
+    assert!(state.store().is_empty());
+    assert_eq!(std::fs::read_dir(&served).expect("store dir").count(), 0, "nothing written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A trace whose captures miss bytes the coarse pass needs fails whole —
 /// no panic, no abort, no partial report — on every replay path: decode
 /// then replay (synchronous and sharded engines), the streamed

@@ -5,20 +5,26 @@
 //! garbage payloads, duplicate and malformed ids, and concurrent pushes
 //! must all end in the right 4xx — never a partial trace in the store,
 //! never a dead server. A property test then pins the bounded-memory
-//! contract: a store under a budget too small for the whole corpus
-//! serves byte-identical report bodies to an unbounded store across
-//! random request orders, while its resident decoded bytes never exceed
-//! the budget.
+//! contract: a server whose memory budget admits one rendered body but
+//! not the whole corpus's serves byte-identical bodies to an unbounded
+//! one across random request orders, while the body bytes it retains
+//! never exceed the budget. A delete + re-ingest racing report requests
+//! only ever serves one of the two incarnations.
 
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use vex_bench::{http_get, http_post, record_app};
 use vex_core::prelude::*;
 use vex_gpu::timing::DeviceSpec;
-use vex_serve::{push_trace, ProfileStore, PushError, Server, ServerConfig, StoreOptions};
+use vex_serve::store::materialize;
+use vex_serve::{
+    push_trace, ProfileStore, PushError, ReportParams, Server, ServerConfig, StoreOptions,
+};
+use vex_trace::container::read_trace;
 use vex_workloads::{apps::qmcpack::Qmcpack, Variant};
 
 /// A small QMCPACK trace; `walkers` varies the content and size.
@@ -165,6 +171,71 @@ fn reingest_under_same_id_invalidates_cached_reports() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One client loops a fine report of `x` while another deletes `x` and
+/// re-ingests it with the other of two recordings. The file a report
+/// streams is opened under the index lock, so every 200 body is one
+/// incarnation's report, never a mix or a stale cache hit; a request
+/// that loses the race gets a 4xx. Once the churn stops, the newest
+/// incarnation is served.
+#[test]
+fn reports_racing_delete_and_reingest_serve_one_incarnation() {
+    let dir = temp_dir("race");
+    let config = ServerConfig { cache_entries: 0, ..ingest_config() };
+    let server = serve(&dir, StoreOptions::default(), config);
+    let addr = server.addr();
+    let url = format!("http://{addr}");
+    let fine = ReportParams { fine: true, ..ReportParams::default() };
+    let incarnations: Vec<(Vec<u8>, Vec<u8>)> = [256, 640]
+        .into_iter()
+        .map(|walkers| {
+            let app = Qmcpack { walkers, setup_elems: 64, steps: 1 };
+            let builder = ValueExpert::builder().coarse(true).fine(true);
+            let bytes = record_app(&DeviceSpec::rtx2080ti(), &app, Variant::Baseline, builder);
+            let trace = read_trace(&bytes).expect("recording decodes");
+            let report = materialize(&trace, &fine).expect("fine recording replays");
+            (bytes, report.render_text_document().into_bytes())
+        })
+        .collect();
+    assert_ne!(incarnations[0].1, incarnations[1].1, "the recordings must differ");
+    push_trace(&url, "x", &incarnations[0].0).expect("first push lands");
+
+    const ROUNDS: usize = 24;
+    let churning = AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut served = 0;
+            while churning.load(Ordering::Relaxed) {
+                let (status, body) = http_get(addr, "/traces/x/report?fine=1");
+                match status {
+                    200 => {
+                        assert!(
+                            incarnations.iter().any(|(_, report)| *report == body),
+                            "a 200 body matches neither incarnation"
+                        );
+                        served += 1;
+                    }
+                    400 | 404 => {}
+                    other => panic!("status {other}: {}", String::from_utf8_lossy(&body)),
+                }
+            }
+            served
+        });
+        for round in 1..=ROUNDS {
+            let resp = http_delete(addr, "/traces/x");
+            assert!(resp.starts_with(b"HTTP/1.1 200 "), "{}", String::from_utf8_lossy(&resp));
+            push_trace(&url, "x", &incarnations[round % 2].0).expect("re-push lands");
+        }
+        churning.store(false, Ordering::Relaxed);
+        assert!(reader.join().expect("reader panicked") > 0, "no report was served");
+    });
+    let (status, body) = http_get(addr, "/traces/x/report?fine=1");
+    assert_eq!(status, 200);
+    assert_eq!(body, incarnations[ROUNDS % 2].1, "the newest incarnation is served");
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A chunked upload reassembles into the identical trace a
 /// `Content-Length` push produces.
 #[test]
@@ -299,7 +370,7 @@ fn concurrent_pushes_to_distinct_ids_all_land() {
         assert_eq!(status, 200, "t{i} queryable after concurrent ingest");
     }
     let stats = server.state().store().stats();
-    assert_eq!(stats.ingested_total.load(std::sync::atomic::Ordering::Relaxed), PUSHERS as u64);
+    assert_eq!(stats.ingested_total.load(Ordering::Relaxed), PUSHERS as u64);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -307,7 +378,7 @@ fn concurrent_pushes_to_distinct_ids_all_land() {
 
 /// The shared fixture of the eviction property: one corpus served twice,
 /// once unbounded and once under a budget that admits the largest single
-/// trace but not the whole corpus.
+/// response body but not the whole corpus's.
 struct EvictionRig {
     budget: u64,
     budgeted: Server,
@@ -326,33 +397,18 @@ fn eviction_rig() -> &'static EvictionRig {
                 .expect("write trace");
         }
 
-        // Probe the per-trace decoded sizes: under a 1-byte budget only
-        // the just-requested trace stays resident, so the gauge after
-        // each decode is exactly that trace's accounted size.
-        let probe = ProfileStore::load_dir_with(
-            &dir,
-            &StoreOptions { memory_budget: Some(1), ..StoreOptions::default() },
-        )
-        .expect("probe store");
-        let mut largest = 0u64;
-        let mut total = 0u64;
-        for id in RIG_IDS {
-            probe.decoded(id).expect("probe decode");
-            let single = probe.resident_bytes();
-            largest = largest.max(single);
-            total += single;
-        }
-        assert!(total > largest, "corpus must not fit in the budget");
-
-        let budget = largest;
+        let unbounded = serve(&dir, StoreOptions::default(), ServerConfig::default());
+        let sizes: Vec<u64> = RIG_TARGETS
+            .iter()
+            .map(|target| http_get(unbounded.addr(), target).1.len() as u64)
+            .collect();
+        let budget = *sizes.iter().max().expect("targets");
+        assert!(sizes.iter().sum::<u64>() > budget, "corpus must not fit in the budget");
         let budgeted = serve(
             &dir,
             StoreOptions { memory_budget: Some(budget), ..StoreOptions::default() },
-            // A one-entry report cache so nearly every request walks the
-            // store's decode/evict path instead of replaying from cache.
-            ServerConfig { cache_entries: 1, ..ServerConfig::default() },
+            ServerConfig::default(),
         );
-        let unbounded = serve(&dir, StoreOptions::default(), ServerConfig::default());
         EvictionRig { budget, budgeted, unbounded }
     })
 }
@@ -370,8 +426,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Across random request orders, the budgeted server's responses
-    /// are byte-identical to the unbounded server's, and its resident
-    /// decoded bytes never exceed the budget.
+    /// are byte-identical to the unbounded server's, and the body bytes
+    /// it retains never exceed the budget.
     #[test]
     fn budgeted_responses_match_unbounded(
         order in prop::collection::vec(0usize..RIG_TARGETS.len(), 1..10),
@@ -398,8 +454,8 @@ proptest! {
 }
 
 /// The budget actually bites: after the property runs (or on its own),
-/// touching every trace forces evictions and re-decodes, yet the store
-/// keeps answering from a bounded footprint.
+/// touching every target forces body evictions and re-streamed
+/// reports, yet the store keeps answering from a bounded footprint.
 #[test]
 fn eviction_churn_is_observable_in_stats() {
     let rig = eviction_rig();
@@ -407,12 +463,11 @@ fn eviction_churn_is_observable_in_stats() {
         let (status, _) = http_get(rig.budgeted.addr(), target);
         assert_eq!(status, 200, "{target}");
     }
-    let store = rig.budgeted.state().store();
-    let stats = store.stats();
-    let evictions = stats.evictions_total.load(std::sync::atomic::Ordering::Relaxed);
-    let decodes = stats.decodes_total.load(std::sync::atomic::Ordering::Relaxed);
-    assert!(evictions > 0, "three over-budget traces must evict at least once");
-    assert!(decodes > evictions, "every eviction implies an earlier decode");
-    assert!(store.resident_bytes() <= rig.budget);
-    assert!(store.resident_traces() >= 1, "the last-served trace stays resident");
+    let state = rig.budgeted.state();
+    let evictions = state.cache().stats().budget_evictions.load(Ordering::Relaxed);
+    let decodes = state.store().stats().decodes_total.load(Ordering::Relaxed);
+    assert!(evictions > 0, "over-budget bodies must evict at least once");
+    assert!(decodes > evictions, "every evicted body was streamed first");
+    let resident = state.store().resident_bytes();
+    assert!(resident > 0 && resident <= rig.budget, "{resident} of {}", rig.budget);
 }
