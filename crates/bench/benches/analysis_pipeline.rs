@@ -1,18 +1,24 @@
 //! End-to-end analysis-pipeline benchmarks: what does it cost (in real
 //! wall-clock on the host) to run ValueExpert's coarse and fine analyses
-//! over a kernel's access stream, and how do SHA-256 hashing and
-//! snapshot diffing scale.
+//! over a kernel's access stream, what does the fine pass alone cost per
+//! record, and how do SHA-256 hashing and snapshot diffing scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use vex_core::fine::FineState;
 use vex_core::prelude::*;
+use vex_core::registry::ObjectRegistry;
 use vex_core::sha256::{sha256, sha256_portable};
 use vex_gpu::dim::Dim3;
 use vex_gpu::exec::ThreadCtx;
+use vex_gpu::hooks::ApiKind;
 use vex_gpu::ir::{InstrTable, InstrTableBuilder, MemSpace, Pc, ScalarType};
 use vex_gpu::kernel::Kernel;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
+use vex_trace::container::read_trace;
+use vex_trace::event::Event;
+use vex_workloads::{all_apps, Variant};
 
 struct Saxpy {
     x: u64,
@@ -86,6 +92,60 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fine pass alone, in records/s: [`FineState::on_batch`] and
+/// `on_launch_complete` over every event of backprop's recorded trace
+/// (`vex record backprop --fine`), with the object registry fed from
+/// its API events. Decoding happens once, outside the timed loop, so
+/// the printed ns/record is the pass's own cost.
+fn bench_fine_pass(c: &mut Criterion) {
+    let app = all_apps().into_iter().find(|a| a.name() == "backprop").expect("bundled app");
+    let builder = ValueExpert::builder().coarse(true).fine(true);
+    let bytes = vex_bench::record_app(
+        &DeviceSpec::rtx2080ti(),
+        app.as_ref(),
+        Variant::Baseline,
+        builder,
+    );
+    let trace = read_trace(&bytes).expect("recording decodes");
+    let records: usize = trace
+        .events
+        .iter()
+        .map(|e| match e {
+            Event::Batch { records, .. } => records.len(),
+            _ => 0,
+        })
+        .sum();
+    let pass = || {
+        let mut registry = ObjectRegistry::new();
+        let mut fine = FineState::new(PatternConfig::default(), BlockSampler::new(1));
+        for event in &trace.events {
+            match event {
+                Event::Api { event, .. } => match &event.kind {
+                    ApiKind::Malloc { info } => registry.on_alloc(info),
+                    ApiKind::Free { info } => registry.on_free(info),
+                    _ => {}
+                },
+                Event::Batch { info, records } => fine.on_batch(info, records, &registry),
+                Event::LaunchEnd { info } => fine.on_launch_complete(info, &registry),
+                _ => {}
+            }
+        }
+        fine.findings().len()
+    };
+    let mut group = c.benchmark_group("fine_pass");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(records as u64));
+    group.bench_function("backprop", |b| b.iter(pass));
+    group.finish();
+    let runs = 5;
+    let started = std::time::Instant::now();
+    for _ in 0..runs {
+        black_box(pass());
+    }
+    let ns = started.elapsed().as_nanos() as f64 / (runs * records) as f64;
+    println!("  fine_pass/backprop: {ns:.1} ns/record over {records} records (mean of {runs})");
+}
+
 /// Snapshot hashing, in bytes/s: `dispatch` is `sha256` (the SHA
 /// extensions where the CPU has them), `portable` the scalar reference.
 fn bench_sha256(c: &mut Criterion) {
@@ -103,5 +163,5 @@ fn bench_sha256(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline, bench_sha256);
+criterion_group!(benches, bench_fine_pass, bench_pipeline, bench_sha256);
 criterion_main!(benches);

@@ -8,14 +8,15 @@
 //! per `(object, direction)`. At kernel end the recognizers of
 //! [`crate::patterns`] run and produce [`FineFinding`]s.
 
-use crate::access_type::{infer_access_types, AccessTypeMap};
-use crate::patterns::{GroupedAccess, PatternConfig, PatternHit, ValueStats};
-use crate::registry::{ObjectKey, ObjectRegistry};
+use crate::access_type::{fallback_type, infer_access_types, AccessTypeMap, DecodedValue};
+use crate::patterns::{GroupedAccess, PatternConfig, PatternHit, RegressionAcc, ValueStats};
+use crate::registry::{ObjectCursor, ObjectKey, ObjectRegistry};
 use crate::sampling::BlockSampler;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use vex_gpu::callpath::CallPathId;
 use vex_gpu::hooks::{LaunchId, LaunchInfo};
+use vex_gpu::ir::{MemSpace, Pc, ScalarType};
 use vex_trace::AccessRecord;
 
 /// Load or store side of an object's accesses.
@@ -71,12 +72,58 @@ pub struct FineTraffic {
     pub launches: u64,
 }
 
+/// One kernel's access types as a table indexed by PC, built once from
+/// [`infer_access_types`]. Decodes exactly like [`AccessTypeMap::decode`].
+#[derive(Debug)]
+struct TypeTable {
+    /// Resolved type of each PC below `dense.len()`.
+    dense: Vec<Option<ScalarType>>,
+    /// The map itself, consulted only for PCs past the dense table
+    /// (which stops at [`TypeTable::DENSE_PCS`] so that a recorded
+    /// instruction table with a huge PC cannot size it).
+    map: AccessTypeMap,
+}
+
+impl TypeTable {
+    const DENSE_PCS: u32 = 1 << 16;
+
+    fn new(map: AccessTypeMap) -> Self {
+        let len = map.iter().map(|(pc, _)| pc.0.saturating_add(1)).max().unwrap_or(0);
+        let mut dense = vec![None; len.min(Self::DENSE_PCS) as usize];
+        for (pc, access) in map.iter() {
+            if let Some(slot) = dense.get_mut(pc.0 as usize) {
+                *slot = Some(access.ty);
+            }
+        }
+        TypeTable { dense, map }
+    }
+
+    #[inline]
+    fn decode(&self, pc: Pc, bits: u64, size: u8) -> DecodedValue {
+        let ty = match self.dense.get(pc.0 as usize) {
+            Some(ty) => *ty,
+            None => self.map.get(pc).map(|r| r.ty),
+        };
+        DecodedValue::from_bits(ty.unwrap_or_else(|| fallback_type(size)), bits)
+    }
+}
+
+/// A record's group slot in [`FineState::on_batch`]'s counting sort
+/// when it is not analyzed (sampled out or unattributable).
+const NO_SLOT: u32 = u32::MAX;
+
+/// Records per part of a batch in [`FineState::on_batch`]. Its grouping
+/// buffers (64 KiB at this size) stay under the allocator's mmap
+/// threshold, so each batch reuses heap memory instead of faulting in
+/// fresh pages, and the pass keeps nothing between batches.
+const PART: usize = 2048;
+
 /// The fine-grained analyzer state. Driven by the profiler front-end.
 #[derive(Debug)]
 pub struct FineState {
     config: PatternConfig,
     block_sampler: BlockSampler,
-    type_maps: HashMap<String, AccessTypeMap>,
+    type_tables: HashMap<String, TypeTable>,
     current: BTreeMap<(ObjectKey, Direction), ValueStats>,
     findings: Vec<FineFinding>,
     /// Object key of each entry in `findings`, index-aligned. Keys are not
@@ -93,7 +140,7 @@ impl FineState {
         FineState {
             config,
             block_sampler,
-            type_maps: HashMap::new(),
+            type_tables: HashMap::new(),
             current: BTreeMap::new(),
             findings: Vec::new(),
             finding_keys: Vec::new(),
@@ -112,21 +159,133 @@ impl FineState {
     }
 
     /// Ingests one record batch of an instrumented launch.
+    ///
+    /// Each `(object, direction)` group of the batch goes through the
+    /// batched stats kernel in record order, and its regression sums
+    /// merge once per batch. Every engine (inline, pipeline shard,
+    /// replay) sees the same groups per batch, so accumulated stats stay
+    /// bit-identical across them.
+    ///
+    /// The batch is grouped part by part with a stable counting sort.
+    /// Each group's regression sums accumulate across the parts and
+    /// merge once, so feeding a group part by part leaves the state one
+    /// call with all of its records would.
     pub fn on_batch(
         &mut self,
         info: &LaunchInfo,
         records: &[AccessRecord],
         registry: &ObjectRegistry,
     ) {
-        let types = self
-            .type_maps
-            .entry(info.kernel_name.clone())
-            .or_insert_with(|| infer_access_types(&info.instr_table))
-            .clone();
-        // Group the batch per (object, direction) in record order, then
-        // feed each group through the batched stats kernel. Every engine
-        // (sync, pipeline shard, replay) sees the same groups per batch,
-        // so accumulated stats stay bit-identical across them.
+        if !self.type_tables.contains_key(&info.kernel_name) {
+            let table = TypeTable::new(infer_access_types(&info.instr_table));
+            self.type_tables.insert(info.kernel_name.clone(), table);
+        }
+        let types = &self.type_tables[&info.kernel_name];
+        let keep_all = self.block_sampler.period() == 1;
+        let mut cursor = registry.cursor();
+        // Every group of the batch with its batch-wide regression sums,
+        // and its record count in the current part.
+        let mut groups: Vec<((ObjectKey, Direction), RegressionAcc)> = Vec::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut next: Vec<usize> = Vec::new();
+        // The group slot of each remembered span and of shared memory,
+        // per direction, so a slot is searched for only when the cursor
+        // fills a span.
+        let mut span_slots = [[NO_SLOT; 2]; ObjectCursor::SPANS];
+        let mut shared_slots = [NO_SLOT; 2];
+        let mut slots: Vec<u32> = Vec::with_capacity(PART.min(records.len()));
+        let mut placed: Vec<GroupedAccess> = Vec::with_capacity(PART.min(records.len()));
+        for part in records.chunks(PART) {
+            // Pass 1: each record's group slot, and each slot's count.
+            slots.clear();
+            counts.iter_mut().for_each(|c| *c = 0);
+            for rec in part {
+                if !keep_all && !self.block_sampler.keep(rec.block) {
+                    self.traffic.records_skipped += 1;
+                    slots.push(NO_SLOT);
+                    continue;
+                }
+                let dir = usize::from(rec.is_store);
+                let (key, cached) = match rec.space {
+                    MemSpace::Shared => (ObjectKey::Shared, &mut shared_slots[dir]),
+                    MemSpace::Global => {
+                        let Some((span, filled)) = cursor.span(rec.addr) else {
+                            slots.push(NO_SLOT); // not attributable to a live object
+                            continue;
+                        };
+                        if filled {
+                            span_slots[span] = [NO_SLOT; 2];
+                        }
+                        (cursor.key(span), &mut span_slots[span][dir])
+                    }
+                };
+                if *cached == NO_SLOT {
+                    let group =
+                        (key, if rec.is_store { Direction::Store } else { Direction::Load });
+                    let slot = match groups.iter().position(|(g, _)| *g == group) {
+                        Some(slot) => slot,
+                        None => {
+                            groups.push((group, RegressionAcc::default()));
+                            counts.push(0);
+                            groups.len() - 1
+                        }
+                    };
+                    // A batch holds at most 2^24 records, so slots fit.
+                    *cached = slot as u32;
+                }
+                counts[*cached as usize] += 1;
+                slots.push(*cached);
+            }
+
+            // Pass 2: place the part's analyzed records, decoded, group
+            // after group, each group in record order.
+            next.clear();
+            let mut kept = 0;
+            for &count in &counts {
+                next.push(kept);
+                kept += count;
+            }
+            self.traffic.records_analyzed += kept as u64;
+            placed.clear();
+            placed.resize(kept, (0, DecodedValue::from_bits(ScalarType::U8, 0), Pc(0)));
+            for (rec, &slot) in part.iter().zip(&slots) {
+                if slot != NO_SLOT {
+                    let at = &mut next[slot as usize];
+                    placed[*at] = (rec.addr, types.decode(rec.pc, rec.bits, rec.size), rec.pc);
+                    *at += 1;
+                }
+            }
+
+            let mut start = 0;
+            for ((group, acc), &count) in groups.iter_mut().zip(&counts) {
+                if count > 0 {
+                    self.current
+                        .entry(*group)
+                        .or_insert_with(|| ValueStats::new(self.config))
+                        .record_part(&placed[start..start + count], acc, true);
+                    start += count;
+                }
+            }
+        }
+        for (group, acc) in groups {
+            self.current
+                .entry(group)
+                .or_insert_with(|| ValueStats::new(self.config))
+                .merge_regression(acc);
+        }
+    }
+
+    /// The fine pass as first written: a registry lookup, a type lookup
+    /// and a map entry per record. [`FineState::on_batch`] must leave
+    /// exactly the state this leaves.
+    #[cfg(test)]
+    fn on_batch_reference(
+        &mut self,
+        info: &LaunchInfo,
+        records: &[AccessRecord],
+        registry: &ObjectRegistry,
+    ) {
+        let types = infer_access_types(&info.instr_table);
         let mut groups: BTreeMap<(ObjectKey, Direction), Vec<GroupedAccess>> = BTreeMap::new();
         for rec in records {
             if !self.block_sampler.keep(rec.block) {
@@ -408,5 +567,207 @@ mod tests {
         fine.on_launch_complete(&info, &reg);
         assert_eq!(fine.findings().len(), 1);
         assert_eq!(fine.findings()[0].object, "shared");
+    }
+
+    /// A deterministic xorshift stream for generated batches.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn alloc(id: u64, addr: u64, size: u64) -> AllocationInfo {
+        AllocationInfo {
+            id: AllocId(id),
+            addr,
+            size,
+            label: format!("o{id}"),
+            context: CallPathId::ROOT,
+            live: true,
+        }
+    }
+
+    /// Two kernels' instruction tables: typed global and shared accesses,
+    /// a PC past the dense type table, and PCs 7..10 and 70001 absent.
+    fn kernel_tables() -> [InstrTable; 2] {
+        use MemSpace::{Global, Shared};
+        [
+            InstrTableBuilder::new()
+                .load(Pc(0), ScalarType::F32, Global)
+                .store(Pc(1), ScalarType::F32, Global)
+                .load(Pc(2), ScalarType::F64, Global)
+                .store(Pc(3), ScalarType::U32, Global)
+                .load(Pc(4), ScalarType::S8, Global)
+                .store(Pc(5), ScalarType::F32, Shared)
+                .load(Pc(6), ScalarType::U16, Global)
+                .build(),
+            InstrTableBuilder::new()
+                .load(Pc(0), ScalarType::U32, Global)
+                .store(Pc(1), ScalarType::F64, Global)
+                .load(Pc(2), ScalarType::F32, Shared)
+                .store(Pc(4), ScalarType::S64, Global)
+                .store(Pc(70_000), ScalarType::F32, Global)
+                .build(),
+        ]
+    }
+
+    /// Value bits that stress the stats kernel: NaNs with payloads, both
+    /// zeros, denormals, infinities, and ordinary values of each width.
+    fn value_bits(g: &mut Gen) -> u64 {
+        const SPECIAL: [u64; 14] = [
+            0x7FC0_0000,           // f32 NaN
+            0x7F80_0001,           // f32 signalling NaN
+            0x7FF8_0000_0000_0001, // f64 NaN with a payload
+            0xFFF0_0000_0000_0002, // negative f64 signalling NaN
+            0,
+            0x8000_0000,           // f32 -0.0
+            0x8000_0000_0000_0000, // f64 -0.0
+            1,                     // denormal in both widths
+            0x000F_FFFF_FFFF_FFFF, // largest f64 denormal
+            0x7F80_0000,           // f32 +inf
+            0xFF80_0000,           // f32 -inf
+            0x7FF0_0000_0000_0000, // f64 +inf
+            0xFFF0_0000_0000_0000, // f64 -inf
+            0x4049_0FDB,           // f32 pi
+        ];
+        match g.below(4) {
+            0 => SPECIAL[g.below(SPECIAL.len() as u64) as usize],
+            1 => g.below(8),
+            2 => (1.0f64 + g.below(1000) as f64 / 7.0).to_bits(),
+            _ => g.next(),
+        }
+    }
+
+    /// One batch of runs. Each run repeats one PC, direction and space
+    /// over consecutive addresses from near an allocation boundary
+    /// (`anchors`), with either one value throughout or fresh values.
+    fn gen_batch(g: &mut Gen, anchors: &[u64]) -> Vec<AccessRecord> {
+        const PCS: [u32; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 70_000, 70_001];
+        const SIZES: [u8; 4] = [1, 2, 4, 8];
+        // Some batches cross FineState's part size.
+        let target = if g.below(4) == 0 { 2000 + g.below(3000) } else { g.below(300) };
+        let mut records = Vec::new();
+        while (records.len() as u64) < target {
+            let len = if g.below(3) == 0 { 1 + g.below(200) } else { 1 + g.below(8) };
+            let pc = PCS[g.below(PCS.len() as u64) as usize];
+            let size = SIZES[g.below(4) as usize];
+            let space = if g.below(6) == 0 { MemSpace::Shared } else { MemSpace::Global };
+            let is_store = g.below(2) == 0;
+            let start =
+                anchors[g.below(anchors.len() as u64) as usize].wrapping_sub(g.below(12));
+            let step = if g.below(2) == 0 { size as u64 } else { 0 };
+            let constant = g.below(2) == 0;
+            let mut bits = value_bits(g);
+            for i in 0..len {
+                if !constant {
+                    bits = value_bits(g);
+                }
+                records.push(AccessRecord {
+                    pc: Pc(pc),
+                    addr: start.wrapping_add(i * step),
+                    bits,
+                    size,
+                    is_store,
+                    space,
+                    block: g.below(7) as u32,
+                    thread: 0,
+                    is_atomic: false,
+                });
+            }
+            // Interleave objects record by record now and then.
+            if g.below(5) == 0 && records.len() >= 2 {
+                let n = records.len();
+                records.swap(n - 1, n - 2 - g.below((n - 1).min(4) as u64) as usize);
+            }
+        }
+        records
+    }
+
+    fn assert_same_state(new: &FineState, reference: &FineState, at: &str) {
+        let keys = |f: &FineState| f.current.keys().copied().collect::<Vec<_>>();
+        assert_eq!(keys(new), keys(reference), "{at}: groups");
+        for (key, stats) in &new.current {
+            assert_eq!(
+                stats.state_bits(),
+                reference.current[key].state_bits(),
+                "{at}: {key:?}"
+            );
+        }
+        assert_eq!(new.traffic(), reference.traffic(), "{at}: traffic");
+        assert_eq!(
+            format!("{:?}", new.findings()),
+            format!("{:?}", reference.findings()),
+            "{at}: findings"
+        );
+        assert_eq!(
+            format!("{:?}", new.tagged_findings()),
+            format!("{:?}", reference.tagged_findings()),
+            "{at}: tagged findings"
+        );
+    }
+
+    proptest::proptest! {
+        /// The run-oriented pass leaves exactly the reference pass's
+        /// state, batch by batch and launch by launch: adjacent and
+        /// overlapping allocations, a free and re-alloc between batches,
+        /// shared and unattributable records, block sampling, PCs outside
+        /// the type table, special float bits, long equal-value stretches
+        /// and a distinct-value cap that coalesced stretches run into.
+        #[test]
+        fn on_batch_matches_reference(
+            seed in proptest::prelude::any::<u64>(),
+            period_index in 0usize..2,
+            cap_index in 0usize..3,
+        ) {
+            let mut g = Gen(seed | 1);
+            let config = PatternConfig {
+                max_distinct_values: [2, 7, 1 << 16][cap_index],
+                ..PatternConfig::default()
+            };
+            let sampler = BlockSampler::new([1, 3][period_index]);
+            let mut new = FineState::new(config, sampler);
+            let mut reference = FineState::new(config, sampler);
+            let tables = kernel_tables();
+            let mut registry = ObjectRegistry::new();
+            // 1: [256, 320), 2: [320, 448) adjacent, 3: [1024, 1280) with
+            // 4: [1100, 1110) overlapping it, and more objects than the
+            // cursor remembers spans: 6..12 at [2048 + 64 i, + 48).
+            for (id, addr, size) in [(1, 256, 64), (2, 320, 128), (3, 1024, 256), (4, 1100, 10)] {
+                registry.on_alloc(&alloc(id, addr, size));
+            }
+            let mut anchors = vec![256, 300, 320, 448, 1024, 1100, 1110, 1280, 4096, 0];
+            for i in 0..6 {
+                registry.on_alloc(&alloc(6 + i, 2048 + 64 * i, 48));
+                anchors.extend([2048 + 64 * i + 8, 2048 + 64 * i + 48]);
+            }
+            for launch in 0..4u64 {
+                let k = (launch % 2) as usize;
+                let mut info = launch_info(&format!("k{k}"), tables[k].clone());
+                info.launch = LaunchId(launch);
+                for batch in 0..1 + g.below(3) {
+                    if launch == 2 && batch == 1 {
+                        // Free 1 and re-alloc its start, smaller, as 5.
+                        registry.on_free(&alloc(1, 256, 64));
+                        registry.on_alloc(&alloc(5, 256, 16));
+                    }
+                    let records = gen_batch(&mut g, &anchors);
+                    new.on_batch(&info, &records, &registry);
+                    reference.on_batch_reference(&info, &records, &registry);
+                    assert_same_state(&new, &reference, &format!("launch {launch} batch {batch}"));
+                }
+                new.on_launch_complete(&info, &registry);
+                reference.on_launch_complete(&info, &registry);
+                assert_same_state(&new, &reference, &format!("launch {launch} end"));
+            }
+        }
     }
 }

@@ -184,11 +184,11 @@ impl ValueTable {
         h ^ (h >> 33)
     }
 
-    /// Counts one observation of `(tag, bits)` under the distinct-key cap:
-    /// existing keys always count, new keys only while `len < cap`.
-    /// Returns `false` when the observation was dropped, so the caller can
-    /// tally it in an overflow counter.
-    fn add(&mut self, tag: u8, bits: u64, cap: usize) -> bool {
+    /// Counts `n` observations of `(tag, bits)` under the distinct-key
+    /// cap: an existing key always counts, a new key only while
+    /// `len < cap`. Returns `false` when the observations were dropped,
+    /// so the caller can tally them in an overflow counter.
+    fn add_n(&mut self, tag: u8, bits: u64, n: u64, cap: usize) -> bool {
         if self.counts.is_empty() {
             if cap == 0 {
                 return false;
@@ -207,12 +207,12 @@ impl ValueTable {
                 }
                 self.tags[i] = tag;
                 self.bits[i] = bits;
-                self.counts[i] = 1;
+                self.counts[i] = n;
                 self.len += 1;
                 return true;
             }
             if self.tags[i] == tag && self.bits[i] == bits {
-                self.counts[i] += 1;
+                self.counts[i] += n;
                 return true;
             }
             i = (i + 1) & mask;
@@ -254,9 +254,9 @@ impl ValueTable {
 pub type GroupedAccess = (u64, DecodedValue, Pc);
 
 /// Batch-local regression sums, merged into a [`ValueStats`] once per
-/// [`ValueStats::record_batch`] call.
+/// batch ([`ValueStats::merge_regression`]).
 #[derive(Debug, Default)]
-struct RegressionAcc {
+pub(crate) struct RegressionAcc {
     n: u64,
     sum_x: f64,
     sum_y: f64,
@@ -383,66 +383,50 @@ impl ValueStats {
     /// Feeds one access: decoded value at `addr`, tagged with the
     /// instruction that performed it.
     pub fn record_at(&mut self, addr: u64, value: DecodedValue, pc: Pc) {
-        self.pcs.insert(pc);
-        self.record(addr, value);
+        self.record_batch(&[(addr, value, pc)]);
     }
 
     /// Feeds one access: decoded value at `addr`.
     pub fn record(&mut self, addr: u64, value: DecodedValue) {
-        self.accesses += 1;
-        let v = value.as_f64();
-        if value.is_zero() {
-            self.zeros += 1;
-        }
-        if !self.histogram.add(value.ty as u8, value.bits, self.config.max_distinct_values) {
-            self.histogram_overflow += 1;
-        }
-        if value.ty.is_float() {
-            let t = truncate_mantissa(v, self.config.approx_mantissa_bits);
-            if !self.approx_histogram.add(0, t.to_bits(), self.config.max_distinct_values) {
-                self.approx_histogram_overflow += 1;
-            }
-            if (v as f32) as f64 != v {
-                self.f32_representable = false;
-            }
-        }
-        if v.fract() != 0.0 {
-            self.integral_only = false;
-        }
-        if v < self.min_value {
-            self.min_value = v;
-        }
-        if v > self.max_value {
-            self.max_value = v;
-        }
-        self.observed_type = Some(match self.observed_type {
-            None => value.ty,
-            Some(t) if t.size_bytes() >= value.ty.size_bytes() => t,
-            Some(_) => value.ty,
-        });
-        // Regression accumulators.
-        let x = addr as f64;
-        self.n_xy += 1;
-        self.sum_x += x;
-        self.sum_y += v;
-        self.sum_xx += x * x;
-        self.sum_yy += v * v;
-        self.sum_xy += x * v;
+        let mut acc = RegressionAcc::default();
+        self.record_part(&[(addr, value, Pc(0))], &mut acc, false);
+        self.merge_regression(acc);
     }
 
     /// Feeds a batch of accesses through the data-oriented kernel: the
-    /// batch is split into runs of one [`ScalarType`] and each run goes
+    /// batch is split into runs of one [`ScalarType`], and each run goes
     /// through a monomorphized inner loop with the type dispatch, the
     /// float-only branches, and the regression sums hoisted out of the
     /// per-access path.
     ///
-    /// State-equivalent to calling [`ValueStats::record_at`] per element,
-    /// except that regression sums accumulate batch-locally and merge
-    /// once, so their floating-point totals can differ in the last bits
-    /// when several batches of non-exactly-representable sums are fed to
-    /// one `ValueStats`.
+    /// Within a run, a stretch of consecutive accesses with equal bits
+    /// is counted once: the value tables, zero count, range and
+    /// representability tests are idempotent for equal bits. The
+    /// regression sums and the PC set still take every access, in
+    /// order, because float sums depend on their order.
+    ///
+    /// [`ValueStats::record_at`] is this kernel on a one-element batch.
+    /// Feeding a batch whole is state-equivalent to feeding its elements
+    /// one by one, except that regression sums accumulate batch-locally
+    /// and merge once, so their floating-point totals can differ in the
+    /// last bits when several batches of non-exactly-representable sums
+    /// are fed to one `ValueStats`.
     pub fn record_batch(&mut self, batch: &[GroupedAccess]) {
         let mut acc = RegressionAcc::default();
+        self.record_part(batch, &mut acc, true);
+        self.merge_regression(acc);
+    }
+
+    /// Feeds one part of a batch: [`ValueStats::record_batch`] with the
+    /// regression sums left in `acc` until [`Self::merge_regression`], so
+    /// a batch fed in several parts leaves the state one call would. The
+    /// accesses' PCs are tallied only when `track_pcs` holds.
+    pub(crate) fn record_part(
+        &mut self,
+        batch: &[GroupedAccess],
+        acc: &mut RegressionAcc,
+        track_pcs: bool,
+    ) {
         let mut i = 0;
         while i < batch.len() {
             let ty = batch[i].1.ty;
@@ -452,19 +436,23 @@ impl ValueStats {
             }
             let run = &batch[i..j];
             match ty {
-                ScalarType::F32 => self.record_run::<0>(run, &mut acc),
-                ScalarType::F64 => self.record_run::<1>(run, &mut acc),
-                ScalarType::S8 => self.record_run::<2>(run, &mut acc),
-                ScalarType::S16 => self.record_run::<3>(run, &mut acc),
-                ScalarType::S32 => self.record_run::<4>(run, &mut acc),
-                ScalarType::S64 => self.record_run::<5>(run, &mut acc),
-                ScalarType::U8 => self.record_run::<6>(run, &mut acc),
-                ScalarType::U16 => self.record_run::<7>(run, &mut acc),
-                ScalarType::U32 => self.record_run::<8>(run, &mut acc),
-                ScalarType::U64 => self.record_run::<9>(run, &mut acc),
+                ScalarType::F32 => self.record_run::<0>(run, acc, track_pcs),
+                ScalarType::F64 => self.record_run::<1>(run, acc, track_pcs),
+                ScalarType::S8 => self.record_run::<2>(run, acc, track_pcs),
+                ScalarType::S16 => self.record_run::<3>(run, acc, track_pcs),
+                ScalarType::S32 => self.record_run::<4>(run, acc, track_pcs),
+                ScalarType::S64 => self.record_run::<5>(run, acc, track_pcs),
+                ScalarType::U8 => self.record_run::<6>(run, acc, track_pcs),
+                ScalarType::U16 => self.record_run::<7>(run, acc, track_pcs),
+                ScalarType::U32 => self.record_run::<8>(run, acc, track_pcs),
+                ScalarType::U64 => self.record_run::<9>(run, acc, track_pcs),
             }
             i = j;
         }
+    }
+
+    /// Adds one batch's regression sums to the totals.
+    pub(crate) fn merge_regression(&mut self, acc: RegressionAcc) {
         self.n_xy += acc.n;
         self.sum_x += acc.sum_x;
         self.sum_y += acc.sum_y;
@@ -478,7 +466,12 @@ impl ValueStats {
     /// `TAG`, so decode and zero tests compile to straight-line per-type
     /// code. Integer decodes are always integral, so the `fract` check
     /// only runs for the two float tags.
-    fn record_run<const TAG: u8>(&mut self, run: &[GroupedAccess], acc: &mut RegressionAcc) {
+    fn record_run<const TAG: u8>(
+        &mut self,
+        run: &[GroupedAccess],
+        acc: &mut RegressionAcc,
+        track_pcs: bool,
+    ) {
         let is_float = TAG <= 1;
         let cap = self.config.max_distinct_values;
         let k = self.config.approx_mantissa_bits;
@@ -489,25 +482,41 @@ impl ValueStats {
             Some(_) => ty,
         });
         let mut last_pc = None;
-        for &(addr, value, pc) in run {
-            debug_assert_eq!(value.ty as u8, TAG);
-            if last_pc != Some(pc) {
-                self.pcs.insert(pc);
-                last_pc = Some(pc);
-            }
-            let bits = value.bits;
+        let mut i = 0;
+        while i < run.len() {
+            // One stretch of equal bits: per-access work first, in order.
+            let bits = run[i].1.bits;
             let v = decode_tagged::<TAG>(bits);
-            self.accesses += 1;
-            if is_zero_tagged::<TAG>(bits) {
-                self.zeros += 1;
+            let start = i;
+            while i < run.len() && run[i].1.bits == bits {
+                let (addr, value, pc) = run[i];
+                debug_assert_eq!(value.ty as u8, TAG);
+                if track_pcs && last_pc != Some(pc) {
+                    self.pcs.insert(pc);
+                    last_pc = Some(pc);
+                }
+                let x = addr as f64;
+                acc.n += 1;
+                acc.sum_x += x;
+                acc.sum_y += v;
+                acc.sum_xx += x * x;
+                acc.sum_yy += v * v;
+                acc.sum_xy += x * v;
+                i += 1;
             }
-            if !self.histogram.add(TAG, bits, cap) {
-                self.histogram_overflow += 1;
+            // Then the value's own tests, once for the whole stretch.
+            let n = (i - start) as u64;
+            self.accesses += n;
+            if is_zero_tagged::<TAG>(bits) {
+                self.zeros += n;
+            }
+            if !self.histogram.add_n(TAG, bits, n, cap) {
+                self.histogram_overflow += n;
             }
             if is_float {
                 let t = truncate_mantissa(v, k);
-                if !self.approx_histogram.add(0, t.to_bits(), cap) {
-                    self.approx_histogram_overflow += 1;
+                if !self.approx_histogram.add_n(0, t.to_bits(), n, cap) {
+                    self.approx_histogram_overflow += n;
                 }
                 if (v as f32) as f64 != v {
                     self.f32_representable = false;
@@ -522,14 +531,36 @@ impl ValueStats {
             if v > self.max_value {
                 self.max_value = v;
             }
-            let x = addr as f64;
-            acc.n += 1;
-            acc.sum_x += x;
-            acc.sum_y += v;
-            acc.sum_xx += x * x;
-            acc.sum_yy += v * v;
-            acc.sum_xy += x * v;
         }
+    }
+
+    /// Every field of the state, floats by their bits and the value
+    /// tables as sorted entries, for bit-for-bit comparisons in tests.
+    #[cfg(test)]
+    pub(crate) fn state_bits(&self) -> String {
+        let mut histogram: Vec<_> = self.histogram.iter().collect();
+        histogram.sort_unstable();
+        let mut approx: Vec<_> = self.approx_histogram.iter().collect();
+        approx.sort_unstable();
+        let counters = [
+            self.accesses,
+            self.zeros,
+            self.histogram_overflow,
+            self.approx_histogram_overflow,
+            self.n_xy,
+        ];
+        let floats = [
+            self.min_value,
+            self.max_value,
+            self.sum_x,
+            self.sum_y,
+            self.sum_xx,
+            self.sum_yy,
+            self.sum_xy,
+        ]
+        .map(f64::to_bits);
+        let flags = (self.f32_representable, self.integral_only, self.observed_type);
+        format!("{:?}", (counters, floats, flags, &self.pcs, histogram, approx))
     }
 
     /// Number of distinct exact values observed (capped).
@@ -1084,6 +1115,35 @@ mod tests {
                 _ => is_zero_tagged::<9>(bits),
             };
             prop_assert_eq!(zero, value.is_zero());
+        }
+
+        /// Stretches of equal values, which the batch kernel counts once
+        /// per stretch, leave the state that feeding each access alone
+        /// leaves, also where a stretch meets the distinct-value cap.
+        #[test]
+        fn prop_equal_value_stretches_match_scalar(
+            stretches in prop::collection::vec((0u8..10, 0usize..6, 1u64..40, 0u32..3), 0..40),
+            cap_index in 0usize..3,
+        ) {
+            const BITS: [u64; 6] =
+                [0, 0x8000_0000, 0x7FC0_0001, 0x3F80_0000, 0x4049_0FDB_0000_0001, u64::MAX];
+            let cap = [1usize, 3, 1 << 16][cap_index];
+            let mut batch = Vec::new();
+            for (tag, value, len, pc) in stretches {
+                let value = DecodedValue::from_bits(scalar_type_from_tag(tag), BITS[value]);
+                for _ in 0..len {
+                    batch.push((batch.len() as u64 * 4, value, Pc(pc)));
+                }
+            }
+            let cfg = PatternConfig { max_distinct_values: cap, ..PatternConfig::default() };
+            let mut scalar = ValueStats::new(cfg);
+            for &(addr, value, pc) in &batch {
+                scalar.record_at(addr, value, pc);
+            }
+            let mut batched = ValueStats::new(cfg);
+            batched.record_batch(&batch);
+            assert_stats_equal(&scalar, &batched);
+            prop_assert_eq!(scalar.state_bits(), batched.state_bits());
         }
 
         /// One batch into a fresh `ValueStats` is bit-identical to the

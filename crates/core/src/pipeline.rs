@@ -675,12 +675,12 @@ fn router_worker(
                         .send(AuxMsg::Batch { info: info.clone(), records: records.clone() });
                 }
                 let mut per: Vec<Vec<AccessRecord>> = vec![Vec::new(); shards];
+                let mut cursor = registry.cursor();
                 for rec in records.iter() {
                     // Unattributable records go to shard 0 so its traffic
                     // counters see them exactly as the inline engine does.
-                    let idx = registry
-                        .key_for(rec.space, rec.addr)
-                        .map_or(0, |k| shard_of(k, shards));
+                    let idx =
+                        cursor.key_for(rec.space, rec.addr).map_or(0, |k| shard_of(k, shards));
                     per[idx].push(*rec);
                 }
                 for (idx, recs) in per.into_iter().enumerate() {

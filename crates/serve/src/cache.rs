@@ -23,8 +23,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// A computed response body, shared between the cache and its readers.
-pub type CachedValue = Arc<Result<crate::http::Response, String>>;
+/// A computed response body, or the status and message of a failed
+/// computation, shared between the cache and its readers.
+pub type CachedValue = Arc<Result<crate::http::Response, (crate::http::Status, String)>>;
 
 /// One in-flight computation; completed exactly once, then read by every
 /// coalesced waiter.
@@ -131,7 +132,7 @@ impl ReportCache {
     pub fn get_or_compute(
         &self,
         key: &str,
-        compute: impl FnOnce() -> Result<crate::http::Response, String>,
+        compute: impl FnOnce() -> Result<crate::http::Response, (crate::http::Status, String)>,
     ) -> CachedValue {
         // Fast path + flight registration under one lock.
         let flight = {
@@ -223,7 +224,7 @@ mod tests {
     use crate::http::{Response, Status};
     use std::sync::atomic::AtomicUsize;
 
-    fn body(s: &str) -> Result<Response, String> {
+    fn body(s: &str) -> Result<Response, (Status, String)> {
         Ok(Response::text(Status::Ok, s))
     }
 
@@ -292,8 +293,8 @@ mod tests {
     #[test]
     fn errors_are_returned_but_not_cached() {
         let cache = ReportCache::new(4, None);
-        let v = cache.get_or_compute("k", || Err("boom".into()));
-        assert_eq!(v.as_ref().as_ref().unwrap_err(), "boom");
+        let v = cache.get_or_compute("k", || Err((Status::NotFound, "boom".into())));
+        assert_eq!(v.as_ref().as_ref().unwrap_err(), &(Status::NotFound, "boom".to_owned()));
         assert!(cache.is_empty());
         let v = cache.get_or_compute("k", || body("recovered"));
         assert!(v.as_ref().is_ok());

@@ -64,6 +64,6 @@ pub use http::{Request, Response, Status};
 pub use metrics::Metrics;
 pub use server::{ServeState, Server, ServerConfig};
 pub use store::{
-    MutationError, ProfileStore, QuarantineRow, ReportParams, StoreOptions, StoreStats,
-    TraceEntry, TraceListRow,
+    MutationError, ProfileError, ProfileStore, QuarantineRow, ReportParams, StoreOptions,
+    StoreStats, TraceEntry, TraceListRow,
 };

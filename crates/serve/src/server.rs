@@ -32,7 +32,8 @@ use crate::http::{
 };
 use crate::metrics::Metrics;
 use crate::store::{
-    MutationError, ProfileStore, QuarantineRow, ReportParams, TraceEntry, TraceListRow,
+    MutationError, ProfileError, ProfileStore, QuarantineRow, ReportParams, TraceEntry,
+    TraceListRow,
 };
 use crossbeam::channel;
 use std::io::{Read, Write};
@@ -295,19 +296,23 @@ impl ServeState {
             Ok(p) => p,
             Err(e) => return Response::error(Status::BadRequest, e),
         };
-        let entry = match self.lookup(id) {
-            Ok(entry) => entry,
-            Err(resp) => return resp,
-        };
-        // The entry's generation folds the trace *incarnation* into the
-        // key: after a delete + re-ingest under the same id, the new
-        // entry gets a fresh generation, so cached bodies of the old
-        // trace can never be served for the new one (stale keys age out
-        // of the LRU).
-        let key = format!("{id}@{}/report?{}", entry.generation, params.cache_key());
+        match self.lookup(id) {
+            Ok(entry) => self.cached_report(&entry, &params),
+            Err(resp) => resp,
+        }
+    }
+
+    /// The report of the incarnation `entry` names. The entry's
+    /// generation folds the trace *incarnation* into the key: after a
+    /// delete + re-ingest under the same id, the new entry gets a fresh
+    /// generation, so cached bodies of the old trace can never be served
+    /// for the new one (stale keys age out of the LRU), and a miss on
+    /// the old incarnation is a 404.
+    fn cached_report(&self, entry: &TraceEntry, params: &ReportParams) -> Response {
+        let key = format!("{}@{}/report?{}", entry.id, entry.generation, params.cache_key());
         let value = self.cache().get_or_compute(&key, || {
             // A miss streams the trace from disk; a hit never touches it.
-            let profile = self.profile(&entry, &params)?;
+            let profile = self.profile(entry, params)?;
             Ok(Response::text(Status::Ok, profile.render_text_document()))
         });
         unwrap_cached(&value)
@@ -370,9 +375,10 @@ impl ServeState {
             let opts = DiffOptions { threshold, ..DiffOptions::default() };
             let diff = diff_profiles(&profile_a, &profile_b, &opts);
             Ok(if json {
+                let body = diff.render_json_document();
                 Response::json(
                     Status::Ok,
-                    diff.render_json_document().map_err(|e| e.to_string())?,
+                    body.map_err(|e| (Status::BadRequest, e.to_string()))?,
                 )
             } else {
                 Response::text(Status::Ok, diff.render_text_document())
@@ -440,9 +446,21 @@ impl ServeState {
         unwrap_cached(&value)
     }
 
-    /// Streams the incarnation `entry` names under `params`.
-    fn profile(&self, entry: &TraceEntry, params: &ReportParams) -> Result<Profile, String> {
-        self.store.profile(&entry.id, entry.generation, params).map_err(|e| e.to_string())
+    /// Streams the incarnation `entry` names under `params`; a vanished
+    /// incarnation is a 404, a trace that cannot be analyzed under
+    /// `params` the client's 400.
+    fn profile(
+        &self,
+        entry: &TraceEntry,
+        params: &ReportParams,
+    ) -> Result<Profile, (Status, String)> {
+        self.store.profile(&entry.id, entry.generation, params).map_err(|e| {
+            let status = match e {
+                ProfileError::NotFound(_) => Status::NotFound,
+                ProfileError::Failed(_) => Status::BadRequest,
+            };
+            (status, e.to_string())
+        })
     }
 }
 
@@ -485,12 +503,12 @@ fn to_pretty_json<T: serde::Serialize + ?Sized>(value: &T) -> String {
     s
 }
 
-/// A cached computation result as a response; analysis errors (missing
-/// pass in the trace) are the client's parameter error.
+/// A cached computation result as a response, failures with the status
+/// their computation chose.
 fn unwrap_cached(value: &crate::cache::CachedValue) -> Response {
     match value.as_ref() {
         Ok(resp) => resp.clone(),
-        Err(e) => Response::error(Status::BadRequest, e),
+        Err((status, e)) => Response::error(*status, e),
     }
 }
 
@@ -970,6 +988,26 @@ mod tests {
                 String::from_utf8_lossy(head)
             );
         }
+    }
+
+    #[test]
+    fn report_of_a_vanished_incarnation_is_404() {
+        let dir = qmcpack_dir("stale", &["x"]);
+        let bytes = std::fs::read(dir.join("x.vex")).unwrap();
+        let state = ServeState::new(ProfileStore::load_dir(&dir).unwrap(), 0);
+        let stale = state.store().entry("x").unwrap();
+        let params = ReportParams::default();
+        assert_eq!(state.cached_report(&stale, &params).status, Status::Ok);
+        // Deleted and re-ingested after the lookup: the old generation
+        // is gone, like an id that was never there.
+        state.store().remove("x").unwrap();
+        let resp = state.cached_report(&stale, &params);
+        assert_eq!(resp.status, Status::NotFound, "{}", String::from_utf8_lossy(&resp.body));
+        state.store().ingest("x", &bytes).unwrap();
+        assert_eq!(state.cached_report(&stale, &params).status, Status::NotFound);
+        let fresh = state.store().entry("x").unwrap();
+        assert_eq!(state.cached_report(&fresh, &params).status, Status::Ok);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -172,6 +172,29 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// Why [`ProfileStore::profile`] failed; each kind maps onto one HTTP
+/// status.
+#[derive(Debug)]
+pub enum ProfileError {
+    /// The id no longer names the incarnation asked for: it was deleted
+    /// or re-ingested after the caller looked it up. → 404
+    NotFound(String),
+    /// The trace failed to open, decode or replay under the parameters.
+    /// → 400
+    Failed(String),
+}
+
+impl std::fmt::Display for ProfileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProfileError::NotFound(id) => write!(f, "no trace '{id}'"),
+            ProfileError::Failed(e) => f.write_str(e),
+        }
+    }
+}
+
+impl std::error::Error for ProfileError {}
+
 /// Why an ingest or delete was refused; each variant maps onto one HTTP
 /// status so the server's error surface stays uniform.
 #[derive(Debug)]
@@ -428,30 +451,32 @@ impl ProfileStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError`] if `id` no longer names that incarnation, or its
-    /// file fails to open, decode or replay under `params`.
+    /// [`ProfileError::NotFound`] if `id` no longer names that
+    /// incarnation; [`ProfileError::Failed`] if its file fails to open,
+    /// decode or replay under `params`.
     pub fn profile(
         &self,
         id: &str,
         generation: u64,
         params: &ReportParams,
-    ) -> Result<Profile, StoreError> {
+    ) -> Result<Profile, ProfileError> {
         let (path, file) = {
             let entries = self.entries.read().unwrap_or_else(|e| e.into_inner());
             let entry = entries
                 .get(id)
                 .filter(|e| e.generation == generation)
-                .ok_or_else(|| StoreError(format!("no trace '{id}'")))?;
+                .ok_or_else(|| ProfileError::NotFound(id.to_owned()))?;
             (entry.path.clone(), std::fs::File::open(&entry.path))
         };
-        let cannot_decode =
-            |e: DecodeError| StoreError(format!("cannot decode {}: {e}", path.display()));
+        let cannot_decode = |e: DecodeError| {
+            ProfileError::Failed(format!("cannot decode {}: {e}", path.display()))
+        };
         let file = file.map_err(|e| cannot_decode(e.into()))?;
         self.stats.decodes_total.fetch_add(1, Ordering::Relaxed);
         let reader = TraceReader::new(std::io::BufReader::new(file)).map_err(cannot_decode)?;
         params.builder().replay_reader(reader).map_err(|e| match e {
             ReplayError::Decode(e) => cannot_decode(e),
-            e => StoreError(e.to_string()),
+            e => ProfileError::Failed(e.to_string()),
         })
     }
 
@@ -827,6 +852,7 @@ pub fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::Status;
     use vex_gpu::runtime::Runtime;
     use vex_gpu::timing::DeviceSpec;
     use vex_trace::container::read_trace;
@@ -1151,8 +1177,9 @@ mod tests {
         let generation = store.entry(id).unwrap().generation;
         let value = store.cache().get_or_compute(&format!("{id}@{generation}"), || {
             let profile = store.profile(id, generation, &ReportParams::default());
-            let text = profile.map_err(|e| e.0)?.render_text_document();
-            Ok(crate::http::Response::text(crate::http::Status::Ok, text))
+            let text = profile.map_err(|e| (Status::BadRequest, e.to_string()))?;
+            let text = text.render_text_document();
+            Ok(crate::http::Response::text(Status::Ok, text))
         });
         value.as_ref().as_ref().unwrap().body.clone()
     }
@@ -1243,7 +1270,10 @@ mod tests {
         assert!(!dir.join("pushed.vex").exists());
         assert!(matches!(store.remove("pushed"), Err(MutationError::NotFound(_))));
         store.ingest("pushed", &bytes).unwrap();
-        assert!(store.profile("pushed", generation, &ReportParams::default()).is_err());
+        assert!(matches!(
+            store.profile("pushed", generation, &ReportParams::default()),
+            Err(ProfileError::NotFound(id)) if id == "pushed"
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
