@@ -24,13 +24,19 @@
 //! is decode-bound (decode at least [`DECODE_BOUND_SHARE`] of it), the
 //! streamed coarse-only replay — whose batch frames take the structural
 //! `ColumnSet::NONE` walk — must take at most [`GATED_STREAM_RATIO`]×
-//! the materialized one.
+//! the materialized one. Beside the in-memory streamed coarse-only
+//! replay it reports, ungated, the same replay read from a trace file
+//! through a `BufReader<File>` — the path `vex replay` takes, where
+//! skipped batch frames are seeks rather than slice advances.
 //!
 //! Run with `cargo bench --bench replay_throughput`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use serde::Serialize;
+use std::fs::File;
 use std::hint::black_box;
+use std::io::BufReader;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use vex_bench::{median, record_app, write_json};
@@ -71,9 +77,16 @@ fn materialize_replay(builder: ProfilerBuilder, bytes: &[u8]) -> Profile {
     builder.replay(&trace).expect("replay succeeds")
 }
 
-/// The streaming `vex replay` path.
+/// The streaming `vex replay` path over bytes in memory.
 fn stream_replay(builder: ProfilerBuilder, bytes: &[u8]) -> Profile {
     let reader = TraceReader::new(bytes).expect("header decodes");
+    builder.replay_reader(reader).expect("replay succeeds")
+}
+
+/// The streaming `vex replay` path over a trace file.
+fn stream_replay_file(builder: ProfilerBuilder, path: &Path) -> Profile {
+    let file = BufReader::new(File::open(path).expect("trace file opens"));
+    let reader = TraceReader::new(file).expect("header decodes");
     builder.replay_reader(reader).expect("replay succeeds")
 }
 
@@ -170,6 +183,13 @@ struct ThroughputRow {
     coarse_stream_replay_ms: f64,
     coarse_decode_share: f64,
     coarse_stream_ratio: f64,
+    /// The streamed coarse-only replay from bytes in memory, and from a
+    /// trace file through a `BufReader<File>` (`vex replay`'s input).
+    coarse_stream_replay_records_per_s: f64,
+    coarse_stream_replay_ns_per_record: f64,
+    coarse_file_stream_replay_ms: f64,
+    coarse_file_stream_replay_records_per_s: f64,
+    coarse_file_stream_replay_ns_per_record: f64,
 }
 
 impl ThroughputRow {
@@ -233,6 +253,16 @@ fn artifact() {
         let coarse_streamed = median_secs(|| {
             black_box(stream_replay(coarse_replay(), black_box(&bytes)));
         });
+        let path = std::env::temp_dir().join(format!(
+            "vex-replay-throughput-{}-{}.vex",
+            app.name(),
+            std::process::id()
+        ));
+        std::fs::write(&path, &bytes).expect("trace file writes");
+        let coarse_file_streamed = median_secs(|| {
+            black_box(stream_replay_file(coarse_replay(), black_box(&path)));
+        });
+        std::fs::remove_file(&path).ok();
         rows.push(ThroughputRow {
             app: app.name().to_owned(),
             trace_bytes: bytes.len(),
@@ -248,13 +278,20 @@ fn artifact() {
             coarse_stream_replay_ms: coarse_streamed * 1e3,
             coarse_decode_share: (coarse_decode / coarse_materialized).min(1.0),
             coarse_stream_ratio: coarse_streamed / coarse_materialized,
+            coarse_stream_replay_records_per_s: rate(coarse_streamed),
+            coarse_stream_replay_ns_per_record: coarse_streamed * 1e9 / records as f64,
+            coarse_file_stream_replay_ms: coarse_file_streamed * 1e3,
+            coarse_file_stream_replay_records_per_s: rate(coarse_file_streamed),
+            coarse_file_stream_replay_ns_per_record: coarse_file_streamed * 1e9
+                / records as f64,
         });
     }
     for r in &rows {
         println!(
             "{:<10} {:>9} records {:>10} bytes  decode {:>6.1} ns/rec  \
              projected {:.2}x  materialize+replay {:>6.1} ns/rec  stream_replay {:>6.1} ns/rec  \
-             coarse-only {:.1} ms -> {:.1} ms ({:.2}x, decode {:.0}%{})",
+             coarse-only {:.1} ms -> {:.1} ms ({:.2}x, decode {:.0}%{}), from file {:.1} ms \
+             ({:.2} ns/rec)",
             r.app,
             r.records,
             r.trace_bytes,
@@ -267,6 +304,8 @@ fn artifact() {
             r.coarse_stream_ratio,
             r.coarse_decode_share * 100.0,
             if r.decode_bound() { ", gated" } else { "" },
+            r.coarse_file_stream_replay_ms,
+            r.coarse_file_stream_replay_ns_per_record,
         );
     }
     // Streaming gate: a coarse-only replay reads no batch columns, so

@@ -7,9 +7,12 @@
 //!   and as v2;
 //! * **full decode** — events per second for [`read_trace`] over each
 //!   encoding (5-run median), materializing every access record;
-//! * **scan** — events per second for [`index_trace`] over each
-//!   encoding (skip-records scan: frames are walked and validated but no
-//!   record is materialized), the `vex info` / vex-serve indexing path.
+//! * **scan** — what [`index_trace`] costs over each encoding, the
+//!   `vex info` / vex-serve indexing path: events per second, and the
+//!   bytes of batch frames it reads from its input. A scan skips every
+//!   batch body unread in either format (only the launch id, the record
+//!   count and, in v2, the column length prefixes are read), so its
+//!   cost tracks the number of frames, not their records or bytes.
 //!
 //! Full decode must reproduce the identical in-memory event model from
 //! both encodings, so its cost is dominated by writing out the ~32-byte
@@ -17,30 +20,41 @@
 //! is a near-memcpy over that floor, which means v2's full decode can
 //! at best match it on a machine where the trace is already in memory;
 //! the columnar format's decode win shows up wherever cost scales with
-//! *encoded* bytes moved: storage I/O, and the scan path, whose cost is
-//! independent of record count (see DESIGN.md §10).
+//! *encoded* bytes moved: storage I/O (see DESIGN.md §10).
 //!
 //! Besides the Criterion groups, a `results/trace_compression.json`
 //! artefact records all three axes, and the artefact stage doubles as
-//! the CI regression gate: on the backprop workload v2 must be at least
-//! 3× smaller and at least 3× faster to scan than v1, and its full
-//! decode must stay within 1.5× of v1's.
+//! the CI regression gate. On backprop, v2 must be at least 3× smaller
+//! than v1, and its full decode must stay within 1.5× of v1's. On every
+//! workload and in both formats, a scan may read at most
+//! [`SCAN_PREFIX_BYTES`] of each batch frame. The scan-rate ratio of v2
+//! to v1 is recorded but not gated: with both formats skipping batch
+//! bodies it compares only how each encodes the API frames' captures.
+//! Every gate is checked and all failures are reported together.
 //!
 //! Run with `cargo bench --bench trace_compression`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use serde::Serialize;
+use std::cell::Cell;
 use std::hint::black_box;
+use std::io::{BufReader, Cursor, Read, Seek, SeekFrom};
 use std::time::Instant;
 use vex_bench::{median, record_app, write_json};
 use vex_core::prelude::*;
 use vex_gpu::timing::DeviceSpec;
 use vex_trace::container::{read_trace, FormatVersion, TraceWriter};
-use vex_trace::index::index_trace;
+use vex_trace::index::{index_trace, FrameKind, TraceIndex};
 use vex_workloads::{all_apps, GpuApp, Variant};
 
 /// The workloads measured — one small, one large event stream.
 const SELECTION: [&str; 2] = ["backprop", "Darknet"];
+
+/// The most a scan may read of one batch frame: its 5-byte frame head,
+/// then at most 10 bytes each for the launch varint, the record-count
+/// varint and the seven column-length varints of a v2 frame (a v1
+/// frame's fixed 8-byte launch id and 4-byte count are less).
+const SCAN_PREFIX_BYTES: u64 = 5 + 10 + 10 + 7 * 10;
 
 fn recorded(app: &dyn GpuApp) -> Vec<u8> {
     record_app(
@@ -94,6 +108,49 @@ struct CompressionRow {
     v1_scan_events_per_s: f64,
     v2_scan_events_per_s: f64,
     scan_speedup: f64,
+    batch_frames: u64,
+    v1_batch_bytes: u64,
+    v2_batch_bytes: u64,
+    v1_scan_batch_bytes_read: u64,
+    v2_scan_batch_bytes_read: u64,
+}
+
+/// An in-memory input that counts the bytes read from it.
+struct Counted<'a> {
+    inner: Cursor<&'a [u8]>,
+    read: &'a Cell<u64>,
+}
+
+impl Read for Counted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.read.set(self.read.get() + n as u64);
+        Ok(n)
+    }
+}
+
+impl Seek for Counted<'_> {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
+/// Indexes `bytes` and returns the index with the bytes of batch frames
+/// (heads and payloads) the scan read: everything it read less the
+/// other frames and the container header, which a scan decodes whole.
+/// The unbuffered reader passes each read and seek straight through, so
+/// the count is exactly what the scan asked for.
+fn scan_batch_bytes_read(bytes: &[u8]) -> (TraceIndex, u64) {
+    let read = Cell::new(0);
+    let input = BufReader::with_capacity(0, Counted { inner: Cursor::new(bytes), read: &read });
+    let index = index_trace(input).expect("trace indexes");
+    let other: u64 = bytes.len() as u64 - batch_bytes(&index);
+    (index, read.get() - other)
+}
+
+/// Encoded bytes of the index's batch frames, heads included.
+fn batch_bytes(index: &TraceIndex) -> u64 {
+    index.frames.iter().filter(|f| f.kind == FrameKind::Batch).map(|f| f.bytes).sum()
 }
 
 fn measure_events_per_s(events: usize, mut routine: impl FnMut()) -> f64 {
@@ -115,7 +172,12 @@ fn artifact() {
         let v1 = reencode(&v2, FormatVersion::V1);
         let trace = read_trace(&v2).expect("trace decodes");
         let events = trace.events.len();
-        let records = index_trace(&v2[..]).expect("trace indexes").summary.records;
+        let (v1_index, v1_scan_read) = scan_batch_bytes_read(&v1);
+        let (v2_index, v2_scan_read) = scan_batch_bytes_read(&v2);
+        let records = v2_index.summary.records;
+        // Both formats write one frame per `Batch` event.
+        let batch_frames =
+            v2_index.frames.iter().filter(|f| f.kind == FrameKind::Batch).count() as u64;
         let v1_rate = measure_events_per_s(events, || {
             black_box(read_trace(black_box(&v1)).expect("trace decodes"));
         });
@@ -141,6 +203,11 @@ fn artifact() {
             v1_scan_events_per_s: v1_scan,
             v2_scan_events_per_s: v2_scan,
             scan_speedup: v2_scan / v1_scan,
+            batch_frames,
+            v1_batch_bytes: batch_bytes(&v1_index),
+            v2_batch_bytes: batch_bytes(&v2_index),
+            v1_scan_batch_bytes_read: v1_scan_read,
+            v2_scan_batch_bytes_read: v2_scan_read,
         });
     }
     for r in &rows {
@@ -150,33 +217,57 @@ fn artifact() {
             r.v2_decode_events_per_s, r.decode_speedup, r.v1_scan_events_per_s,
             r.v2_scan_events_per_s, r.scan_speedup
         );
+        println!(
+            "{:<10} scan reads of {} batch frames: v1 {} of {} B, v2 {} of {} B",
+            r.app,
+            r.batch_frames,
+            r.v1_scan_batch_bytes_read,
+            r.v1_batch_bytes,
+            r.v2_scan_batch_bytes_read,
+            r.v2_batch_bytes
+        );
     }
     write_json("trace_compression", &rows);
 
-    // CI regression gate: the v2 format must hold its ground on backprop.
+    // CI regression gates.
+    let mut failures = Vec::new();
     let backprop = rows
         .iter()
         .find(|r| r.app.eq_ignore_ascii_case("backprop"))
         .expect("backprop is a seed workload");
-    assert!(
-        backprop.size_ratio >= 3.0,
-        "v2 must be >= 3x smaller than v1 on backprop, got {:.2}x",
-        backprop.size_ratio
-    );
-    assert!(
-        backprop.scan_speedup >= 3.0,
-        "v2 must scan >= 3x faster than v1 on backprop, got {:.2}x",
-        backprop.scan_speedup
-    );
+    if backprop.size_ratio < 3.0 {
+        failures.push(format!(
+            "v2 must be >= 3x smaller than v1 on backprop, got {:.2}x",
+            backprop.size_ratio
+        ));
+    }
     // Full decode writes identical records from both formats, so it is
     // bandwidth-bound and parity is the realistic in-memory target; the
     // loose bound catches codec regressions without demanding a win
     // physics doesn't allow (see the module docs).
-    assert!(
-        backprop.decode_speedup >= 1.0 / 1.5,
-        "v2 full decode must stay within 1.5x of v1 on backprop, got {:.2}x",
-        backprop.decode_speedup
-    );
+    if backprop.decode_speedup < 1.0 / 1.5 {
+        failures.push(format!(
+            "v2 full decode must stay within 1.5x of v1 on backprop, got {:.2}x",
+            backprop.decode_speedup
+        ));
+    }
+    // A scan skips batch bodies unread: a scan that reads them again
+    // reads megabytes here instead of a few hundred bytes per frame.
+    for r in &rows {
+        let limit = SCAN_PREFIX_BYTES * r.batch_frames;
+        for (format, read) in
+            [("v1", r.v1_scan_batch_bytes_read), ("v2", r.v2_scan_batch_bytes_read)]
+        {
+            if read > limit {
+                failures.push(format!(
+                    "a {format} scan of {} must read at most {SCAN_PREFIX_BYTES} B per batch frame \
+                     ({limit} B over {} frames), read {read} B",
+                    r.app, r.batch_frames
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "trace_compression gates failed:\n{}", failures.join("\n"));
 }
 
 criterion_group!(benches, bench_compression);

@@ -368,13 +368,15 @@ impl ProfileArgs {
     }
 }
 
-/// A CLI usage error.
+/// A CLI error: a command line [`parse_args`] rejects, or a command
+/// [`run`] could not carry out. It displays as its message alone; the
+/// `vex` binary follows a parse error with [`USAGE`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UsageError(pub String);
 
 impl fmt::Display for UsageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}\n\n{}", self.0, USAGE)
+        f.write_str(&self.0)
     }
 }
 

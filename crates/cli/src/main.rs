@@ -5,7 +5,7 @@ fn main() {
     let parsed = match vex_cli::parse_args(args.iter().map(String::as_str)) {
         Ok(cmd) => cmd,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("{e}\n\n{}", vex_cli::USAGE);
             std::process::exit(2);
         }
     };

@@ -39,14 +39,13 @@ use crate::report::Profile;
 use crate::sampling::{HierarchicalSampler, KernelNameFilter};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::Read;
 use std::sync::Arc;
 use vex_gpu::callpath::CallPathId;
 use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
 use vex_trace::codec::DecodeError;
 use vex_trace::container::{
-    DecodeOptions, RecordedTrace, TraceFlags, TraceReader, TraceWriter,
+    DecodeOptions, RecordedTrace, TraceFlags, TraceInput, TraceReader, TraceWriter,
 };
 use vex_trace::event::{ColumnSet, EventSink, EventSource, EventSourceConfig};
 use vex_trace::{CollectorStats, LaunchFilter};
@@ -365,7 +364,9 @@ impl ProfilerBuilder {
     /// is decoded under this builder's column projection
     /// ([`TraceReader::set_columns`]), handed to the analysis engine and
     /// dropped, and the profile is assembled from the tail frames. Peak
-    /// memory is one batch plus analysis state. The report is
+    /// memory is one batch plus analysis state. A coarse-only replay
+    /// demands no column, so its batch frames are skipped unread, past
+    /// a structural walk of their prefixes. The report is
     /// byte-identical to [`ProfilerBuilder::replay`]'s.
     ///
     /// # Errors
@@ -375,7 +376,7 @@ impl ProfilerBuilder {
     /// bad frame's error — the one [`vex_trace::container::read_trace_with`]
     /// returns under [`ProfilerBuilder::decode_options`]. No partial
     /// profile is produced.
-    pub fn replay_reader<R: Read>(
+    pub fn replay_reader<R: TraceInput>(
         self,
         mut reader: TraceReader<R>,
     ) -> Result<Profile, ReplayError> {

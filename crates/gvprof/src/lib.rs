@@ -28,12 +28,11 @@
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::io::Read;
 use std::sync::Arc;
 use vex_gpu::hooks::LaunchInfo;
 use vex_gpu::runtime::Runtime;
 use vex_trace::codec::DecodeError;
-use vex_trace::container::{TraceFrame, TraceReader};
+use vex_trace::container::{TraceFrame, TraceInput, TraceReader};
 use vex_trace::event::{ColumnSet, Event, EventSink, EventSource, EventSourceConfig};
 use vex_trace::{AcceptAll, AccessRecord, CollectorStats};
 
@@ -288,7 +287,7 @@ impl std::error::Error for GvProfReplayError {}
 /// access records, before any frame is read;
 /// [`GvProfReplayError::Decode`] with the first bad frame's error — the
 /// one `read_trace_with` returns under [`REPLAY_COLUMNS`].
-pub fn replay<R: Read>(
+pub fn replay<R: TraceInput>(
     mut reader: TraceReader<R>,
     kernel_period: u64,
     block_period: u32,

@@ -610,22 +610,146 @@ fn record_flags(rec: &AccessRecord) -> u8 {
     flags
 }
 
-/// Splits the next length-prefixed column of a nonempty batch off `buf`
-/// at `*pos`. Such a column is never empty — the pc column holds its
-/// dictionary and each RLE column at least one (value, run) pair — so an
-/// empty one fails here, as the truncated varint decoding its contents
-/// would hit, whether or not the column is demanded.
-fn take_column<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], &'static str> {
-    let len = read_uvarint(buf, pos)?;
-    if len == 0 {
-        return Err("truncated varint");
+/// A length-framed payload read front to back: the in-memory form the
+/// frame decoders share ([`Payload`]), or a batch frame the container
+/// reader leaves in its input and skips over. Both go through the same
+/// structural walks ([`walk_columnar_batch`], the container's v1 count
+/// check), so every reader of a batch applies one set of rules and
+/// reports one set of errors.
+pub(crate) trait BatchBody {
+    /// What [`BatchBody::column`] yields: the column's bytes, or nothing
+    /// when its body is skipped.
+    type Column;
+    /// The walk's error type.
+    type Error;
+    /// Turns a structural fault into [`BatchBody::Error`].
+    fn fault(&self, what: &'static str) -> Self::Error;
+    /// Bytes of the payload not walked yet.
+    fn remaining(&self) -> usize;
+    /// Fills `buf`, at most [`BatchBody::remaining`] bytes long.
+    fn read_into(&mut self, buf: &mut [u8]) -> Result<(), Self::Error>;
+    /// Takes the next `len` bytes, at most [`BatchBody::remaining`], as
+    /// one column.
+    fn column(&mut self, len: usize) -> Result<Self::Column, Self::Error>;
+
+    /// Reads `N` fixed bytes; "payload too short" when fewer remain.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], Self::Error> {
+        if self.remaining() < N {
+            return Err(self.fault("payload too short"));
+        }
+        let mut buf = [0u8; N];
+        self.read_into(&mut buf)?;
+        Ok(buf)
     }
-    if len > (buf.len() - *pos) as u64 {
-        return Err("column length exceeds payload");
+
+    /// Reads one LEB128 varint, with [`read_uvarint`]'s errors: those
+    /// depend only on the first ten bytes and on where the payload ends,
+    /// so reading at most that many is enough.
+    fn uvarint(&mut self) -> Result<u64, Self::Error> {
+        let mut buf = [0u8; 10];
+        let mut n = 0;
+        while n < buf.len() && self.remaining() > 0 {
+            self.read_into(&mut buf[n..=n])?;
+            n += 1;
+            if buf[n - 1] < 0x80 {
+                break;
+            }
+        }
+        read_uvarint(&buf[..n], &mut 0).map_err(|what| self.fault(what))
     }
-    let col = &buf[*pos..*pos + len as usize];
-    *pos += len as usize;
-    Ok(col)
+}
+
+/// A frame payload in memory, read front to back.
+pub(crate) struct Payload<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Payload<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Payload { buf, pos: 0 }
+    }
+
+    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], &'static str> {
+        if self.remaining() < n {
+            return Err("payload too short");
+        }
+        let out = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+}
+
+impl<'a> BatchBody for Payload<'a> {
+    type Column = &'a [u8];
+    type Error = &'static str;
+
+    fn fault(&self, what: &'static str) -> &'static str {
+        what
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn read_into(&mut self, buf: &mut [u8]) -> Result<(), &'static str> {
+        buf.copy_from_slice(self.bytes(buf.len())?);
+        Ok(())
+    }
+
+    fn column(&mut self, len: usize) -> Result<&'a [u8], &'static str> {
+        self.bytes(len)
+    }
+
+    fn uvarint(&mut self) -> Result<u64, &'static str> {
+        read_uvarint(self.buf, &mut self.pos)
+    }
+}
+
+/// The seven columns of a nonempty columnar batch, in stream order (pc,
+/// addr, bits, size, flags, block, thread); `None` for an empty batch.
+pub(crate) type Columns<C> = Option<[C; 7]>;
+
+/// The structure of a v2 columnar batch: the record count (at most
+/// [`MAX_BATCH_RECORDS`]), then — under a nonzero count — seven
+/// length-prefixed columns, each nonempty and inside the payload, and
+/// nothing after them. Returns the count and the seven columns (`None`
+/// for an empty batch). Column *contents* are not looked at.
+///
+/// A nonempty batch's column is never empty — the pc column holds its
+/// dictionary and each RLE column at least one (value, run) pair — so
+/// an empty one fails here, as the truncated varint decoding its
+/// contents would hit, whether or not the column is demanded.
+pub(crate) fn walk_columnar_batch<B: BatchBody>(
+    body: &mut B,
+) -> Result<(u64, Columns<B::Column>), B::Error> {
+    let count = body.uvarint()?;
+    // RLE breaks the payload-proportional size bound fixed records have,
+    // so a hard ceiling keeps corrupt counts from provoking huge
+    // expansions; every demanded column still has to account for
+    // exactly `count` records or the batch is rejected.
+    if count > MAX_BATCH_RECORDS {
+        return Err(body.fault("record count exceeds limit"));
+    }
+    let mut take = || {
+        let len = body.uvarint()?;
+        if len == 0 {
+            return Err(body.fault("truncated varint"));
+        }
+        if len > body.remaining() as u64 {
+            return Err(body.fault("column length exceeds payload"));
+        }
+        body.column(len as usize)
+    };
+    let columns = if count == 0 {
+        None
+    } else {
+        Some([take()?, take()?, take()?, take()?, take()?, take()?, take()?])
+    };
+    if body.remaining() != 0 {
+        return Err(body.fault("trailing bytes after columnar batch"));
+    }
+    Ok((count, columns))
 }
 
 /// Streams the `(value, run)` pairs of one RLE column. Runs must cover
@@ -700,33 +824,6 @@ fn decode_rle_u8_column(
     Ok(out)
 }
 
-/// Walks a v2 columnar batch payload structurally — record count and
-/// the seven column length prefixes — without decoding any column, and
-/// returns the record count. This is the skip-records scan path: cost
-/// is independent of the batch's record count.
-///
-/// # Errors
-///
-/// The same structural errors as [`decode_columnar_batch`] (bad count,
-/// an empty column under a nonzero count, column lengths exceeding the
-/// payload, trailing bytes); column *contents* are not validated.
-pub fn scan_columnar_batch(buf: &[u8]) -> Result<u64, &'static str> {
-    let mut pos = 0usize;
-    let count = read_uvarint(buf, &mut pos)?;
-    if count > MAX_BATCH_RECORDS {
-        return Err("record count exceeds limit");
-    }
-    if count > 0 {
-        for _ in 0..7 {
-            take_column(buf, &mut pos)?;
-        }
-    }
-    if pos != buf.len() {
-        return Err("trailing bytes after columnar batch");
-    }
-    Ok(count)
-}
-
 /// Decodes a v2 columnar batch payload (as produced by
 /// [`encode_columnar_batch`]). The whole buffer must be consumed.
 ///
@@ -762,33 +859,14 @@ pub fn decode_columnar_batch_projected(
     buf: &[u8],
     cols: ColumnSet,
 ) -> Result<DecodedBatch, &'static str> {
-    let mut pos = 0usize;
-    let count = read_uvarint(buf, &mut pos)?;
-    // RLE breaks the payload-proportional size bound fixed records have,
-    // so a hard ceiling keeps corrupt counts from provoking huge
-    // expansions; every column below still has to account for exactly
-    // `count` records or the batch is rejected.
-    if count > MAX_BATCH_RECORDS {
-        return Err("record count exceeds limit");
-    }
+    let (count, columns) = walk_columnar_batch(&mut Payload::new(buf))?;
     let count = count as usize;
     let mut batch = DecodedBatch { count, columns: cols, ..DecodedBatch::default() };
-    if count == 0 {
-        if pos != buf.len() {
-            return Err("trailing bytes after columnar batch");
-        }
+    let Some([pc_col, addr_col, bits_col, size_col, flags_col, block_col, thread_col]) =
+        columns
+    else {
         return Ok(batch);
-    }
-    let pc_col = take_column(buf, &mut pos)?;
-    let addr_col = take_column(buf, &mut pos)?;
-    let bits_col = take_column(buf, &mut pos)?;
-    let size_col = take_column(buf, &mut pos)?;
-    let flags_col = take_column(buf, &mut pos)?;
-    let block_col = take_column(buf, &mut pos)?;
-    let thread_col = take_column(buf, &mut pos)?;
-    if pos != buf.len() {
-        return Err("trailing bytes after columnar batch");
-    }
+    };
 
     // pc column: dictionary, then fixed-width bit-packed indices. The
     // indices drive the address predictor, so ADDR demands them too.
@@ -1317,7 +1395,6 @@ mod tests {
         let mut buf = Vec::new();
         write_uvarint(&mut buf, MAX_BATCH_RECORDS);
         buf.extend_from_slice(&[0; 7]);
-        assert_eq!(scan_columnar_batch(&buf), Err("truncated varint"));
         for cols in [ColumnSet::NONE, ColumnSet::THREAD, ColumnSet::ALL] {
             let count = decode_columnar_batch_projected(&buf, cols).map(|b| b.count);
             assert_eq!(count, Err("truncated varint"), "{cols:?}");

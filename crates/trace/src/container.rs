@@ -59,12 +59,13 @@
 //! rejected with the [`DecodeError`] variants added for this container —
 //! decoding never panics, whatever the input bytes.
 
-use crate::codec::{self, ColumnSet, DecodeError};
+use crate::codec::{self, BatchBody, ColumnSet, DecodeError, Payload};
 use crate::event::{Event, EventSink, KernelSummary};
 use crate::interval::Interval;
 use crate::{AccessRecord, CollectorStats};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{BufReader, Cursor, Read, Seek, SeekFrom, Write};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -489,32 +490,10 @@ fn encode_event(event: &Event, version: FormatVersion) -> (u8, Vec<u8>) {
 // Decoding primitives
 // ---------------------------------------------------------------------------
 
-/// Bounded cursor over one frame payload. Every accessor validates the
-/// remaining length, so malformed payloads surface as errors, never
-/// panics or runaway allocations.
-struct Payload<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Payload<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Payload { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], &'static str> {
-        if self.remaining() < n {
-            return Err("payload too short");
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
+/// The container's field readers on the codec's payload cursor. Every
+/// accessor validates the remaining length, so malformed payloads
+/// surface as errors, never panics or runaway allocations.
+impl Payload<'_> {
     fn u8(&mut self) -> Result<u8, &'static str> {
         Ok(self.bytes(1)?[0])
     }
@@ -537,10 +516,6 @@ impl<'a> Payload<'a> {
 
     fn u64(&mut self) -> Result<u64, &'static str> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn uvarint(&mut self) -> Result<u64, &'static str> {
-        codec::read_uvarint(self.buf, &mut self.pos)
     }
 
     fn f64(&mut self) -> Result<f64, &'static str> {
@@ -900,10 +875,126 @@ pub enum TraceFrame {
     },
 }
 
+mod sealed {
+    /// The skip primitive behind [`super::TraceInput`]; private, so the
+    /// set of inputs stays closed.
+    pub trait Sealed {
+        /// Bytes from the current position to the end of the input.
+        fn bytes_left(&mut self) -> std::io::Result<u64>;
+        /// Advances past `n` bytes without reading them.
+        fn skip_bytes(&mut self, n: u64) -> std::io::Result<()>;
+    }
+}
+
+/// An input a [`TraceReader`] reads: a byte slice, a [`Cursor`], a
+/// [`File`], or a [`BufReader`] over a seekable reader. Besides reading,
+/// each can skip bytes without reading them (a slice advance or a seek)
+/// and tell how many are left, which lets the reader pass over batch
+/// frames whose records no consumer reads
+/// ([`TraceReader::set_skip_records`]). A [`File`] that turns out not
+/// to seek (a pipe or FIFO) is still read: its skipped frames are read
+/// and dropped.
+pub trait TraceInput: Read + sealed::Sealed {}
+
+impl<T: Read + sealed::Sealed> TraceInput for T {}
+
+impl sealed::Sealed for &[u8] {
+    fn bytes_left(&mut self) -> std::io::Result<u64> {
+        Ok(self.len() as u64)
+    }
+
+    fn skip_bytes(&mut self, n: u64) -> std::io::Result<()> {
+        let n = usize::try_from(n).unwrap_or(usize::MAX).min(self.len());
+        *self = &self[n..];
+        Ok(())
+    }
+}
+
+impl<T: AsRef<[u8]>> sealed::Sealed for Cursor<T> {
+    fn bytes_left(&mut self) -> std::io::Result<u64> {
+        Ok((self.get_ref().as_ref().len() as u64).saturating_sub(self.position()))
+    }
+
+    fn skip_bytes(&mut self, n: u64) -> std::io::Result<()> {
+        self.set_position(self.position().saturating_add(n));
+        Ok(())
+    }
+}
+
+impl sealed::Sealed for File {
+    fn bytes_left(&mut self) -> std::io::Result<u64> {
+        seek_bytes_left(self)
+    }
+
+    fn skip_bytes(&mut self, n: u64) -> std::io::Result<()> {
+        self.seek(SeekFrom::Current(seek_offset(n)?)).map(drop)
+    }
+}
+
+impl<R: Read + Seek> sealed::Sealed for BufReader<R> {
+    fn bytes_left(&mut self) -> std::io::Result<u64> {
+        let buffered = self.buffer().len() as u64;
+        Ok(seek_bytes_left(self.get_mut())? + buffered)
+    }
+
+    fn skip_bytes(&mut self, n: u64) -> std::io::Result<()> {
+        self.seek_relative(seek_offset(n)?)
+    }
+}
+
+/// Bytes from `input`'s position to its end, leaving the position as
+/// it was.
+fn seek_bytes_left<S: Seek>(input: &mut S) -> std::io::Result<u64> {
+    let pos = input.stream_position()?;
+    let end = input.seek(SeekFrom::End(0))?;
+    if end != pos {
+        input.seek(SeekFrom::Start(pos))?;
+    }
+    Ok(end.saturating_sub(pos))
+}
+
+fn seek_offset(n: u64) -> std::io::Result<i64> {
+    i64::try_from(n).map_err(|_| std::io::Error::other("skip past the seekable range"))
+}
+
+/// A batch frame's payload left in the reader's input: the skip walk
+/// reads its prefixes from the input and seeks past its column bodies.
+struct SkipBody<'r, R> {
+    input: &'r mut R,
+    left: usize,
+    kind: u8,
+    offset: u64,
+}
+
+impl<R: TraceInput> BatchBody for SkipBody<'_, R> {
+    type Column = ();
+    type Error = DecodeError;
+
+    fn fault(&self, what: &'static str) -> DecodeError {
+        DecodeError::BadFrame { kind: self.kind, offset: self.offset, what }
+    }
+
+    fn remaining(&self) -> usize {
+        self.left
+    }
+
+    fn read_into(&mut self, buf: &mut [u8]) -> Result<(), DecodeError> {
+        read_exact_at(&mut *self.input, buf, self.offset)?;
+        self.left -= buf.len();
+        Ok(())
+    }
+
+    fn column(&mut self, len: usize) -> Result<(), DecodeError> {
+        self.input.skip_bytes(len as u64)?;
+        self.left -= len;
+        Ok(())
+    }
+}
+
 /// Streaming `.vex` reader: decodes the header eagerly and frames on
 /// demand, resolving launch references against earlier `LaunchBegin` /
 /// `SkippedLaunch` frames.
-pub struct TraceReader<R: Read> {
+pub struct TraceReader<R: TraceInput> {
     input: R,
     version: u32,
     spec: DeviceSpec,
@@ -920,9 +1011,13 @@ pub struct TraceReader<R: Read> {
     /// Columns columnar batch decode materializes; see
     /// [`TraceReader::set_columns`].
     columns: ColumnSet,
+    /// Cleared when the input turns out not to seek (a pipe or FIFO
+    /// opened as a [`File`]); skipped batch frames are then read and
+    /// dropped; see [`TraceReader::skip_batch`].
+    seekable: bool,
 }
 
-impl<R: Read> std::fmt::Debug for TraceReader<R> {
+impl<R: TraceInput> std::fmt::Debug for TraceReader<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceReader")
             .field("offset", &self.offset)
@@ -931,7 +1026,7 @@ impl<R: Read> std::fmt::Debug for TraceReader<R> {
     }
 }
 
-impl<R: Read> TraceReader<R> {
+impl<R: TraceInput> TraceReader<R> {
     /// Reads and validates the container header.
     ///
     /// # Errors
@@ -974,6 +1069,7 @@ impl<R: Read> TraceReader<R> {
             skip_records: false,
             records_scanned: 0,
             columns: ColumnSet::ALL,
+            seekable: true,
         })
     }
 
@@ -1002,20 +1098,35 @@ impl<R: Read> TraceReader<R> {
     /// Switches the reader into scan mode: batch frames are still
     /// validated structurally, but their records are not decoded —
     /// `Batch` events arrive with empty record vectors and
-    /// [`TraceReader::records_scanned`] accumulates the counts. Scan
-    /// cost then tracks the encoded (compressed) size of the trace
-    /// rather than its record count, which is what makes summaries of
-    /// v2 traces cheap.
+    /// [`TraceReader::records_scanned`] accumulates the counts.
+    ///
+    /// A skipped batch is never read into memory. The reader checks that
+    /// the frame lies inside the input (else
+    /// [`DecodeError::TruncatedFrame`] at the frame), then reads only
+    /// its launch id, record count and — for v2 columnar frames — the
+    /// seven column length prefixes, seeking past each column body (v1
+    /// fixed-record frames: past the records). It runs the structural
+    /// checks a decode would: the launch is declared, the count is
+    /// within the limit and matches the payload (v1), no column is empty
+    /// under a nonzero count, every column lies inside the payload, and
+    /// no bytes trail. Errors are those of reading the frame whole. On
+    /// an input that cannot seek, the payload is read into memory and
+    /// walked there, with the same checks.
+    /// Corruption inside a skipped column body, or inside a v1 record,
+    /// goes undetected: nothing reads it. Scan cost tracks the number of
+    /// frames, not their records or bytes, which is what makes
+    /// summaries cheap.
     pub fn set_skip_records(&mut self, skip: bool) {
         self.skip_records = skip;
     }
 
     /// Projects columnar batch decode onto `columns`: undemanded fields
     /// of the `Batch` records come back zero-filled. Under
-    /// [`ColumnSet::NONE`] columnar batches take the skip-records walk
-    /// instead — the structural checks, and errors, of
-    /// `decode_columnar_batch_projected(_, NONE)` — and their `Batch`
-    /// events carry empty record vectors, so no record is allocated.
+    /// [`ColumnSet::NONE`] columnar batches take the skip walk of
+    /// [`TraceReader::set_skip_records`] instead — the structural
+    /// checks, and errors, of `decode_columnar_batch_projected(_, NONE)`,
+    /// with the column bodies skipped unread — and their `Batch` events
+    /// carry empty record vectors, so no record is allocated.
     /// v1 fixed-record batches always decode in full.
     pub fn set_columns(&mut self, columns: ColumnSet) {
         self.columns = columns;
@@ -1071,16 +1182,15 @@ impl<R: Read> TraceReader<R> {
         read_exact_at(&mut self.input, &mut head[1..5], frame_offset)?;
         let kind = head[0];
         let len = u32::from_le_bytes(head[1..5].try_into().expect("4 bytes")) as usize;
-        // Bounded read: allocates only what actually arrives, so a huge
-        // (corrupt) length on a short file fails cleanly.
-        let mut payload = Vec::new();
-        let got = (&mut self.input)
-            .take(len as u64)
-            .read_to_end(&mut payload)
-            .map_err(DecodeError::from)?;
-        if got < len {
-            return Err(DecodeError::TruncatedFrame { offset: frame_offset });
+        let skip = match kind {
+            FRAME_BATCH => self.skip_records,
+            FRAME_BATCH_COLUMNAR => self.skip_records || self.columns.is_empty(),
+            _ => false,
+        };
+        if skip {
+            return self.skip_batch(kind, frame_offset, len).map(Some);
         }
+        let payload = self.read_payload(frame_offset, len)?;
         self.offset = frame_offset + 5 + len as u64;
         let bad = |what| DecodeError::BadFrame { kind, offset: frame_offset, what };
         let mut p = Payload::new(&payload);
@@ -1174,17 +1284,6 @@ impl<R: Read> TraceReader<R> {
                     .get(&launch)
                     .cloned()
                     .ok_or(bad("batch references an undeclared launch"))?;
-                if self.skip_records {
-                    let count = p.u32().map_err(bad)? as u64;
-                    if p.remaining() as u64 != count * AccessRecord::DEVICE_BYTES {
-                        return Err(bad("record count does not match payload length"));
-                    }
-                    self.records_scanned += count;
-                    return Ok(Some(TraceFrame::Event(Event::Batch {
-                        info,
-                        records: Arc::new(Vec::new()),
-                    })));
-                }
                 let records = decode_fixed_batch_payload(&mut p).map_err(bad)?;
                 TraceFrame::Event(Event::Batch { info, records: Arc::new(records) })
             }
@@ -1200,14 +1299,6 @@ impl<R: Read> TraceReader<R> {
                     .get(&launch)
                     .cloned()
                     .ok_or(bad("batch references an undeclared launch"))?;
-                if self.skip_records || self.columns.is_empty() {
-                    let count = codec::scan_columnar_batch(&payload[pos..]).map_err(bad)?;
-                    self.records_scanned += count;
-                    return Ok(Some(TraceFrame::Event(Event::Batch {
-                        info,
-                        records: Arc::new(Vec::new()),
-                    })));
-                }
                 let records =
                     codec::decode_columnar_batch_projected(&payload[pos..], self.columns)
                         .map(codec::DecodedBatch::into_records)
@@ -1253,6 +1344,81 @@ impl<R: Read> TraceReader<R> {
         Ok(Some(frame))
     }
 
+    /// Passes over the batch frame at `frame_offset`, whose `len`-byte
+    /// payload follows in the input, without reading it into memory (see
+    /// [`TraceReader::set_skip_records`]). An input that cannot seek has
+    /// the payload read and walked in memory instead, with the same
+    /// checks and errors.
+    fn skip_batch(
+        &mut self,
+        kind: u8,
+        frame_offset: u64,
+        len: usize,
+    ) -> Result<TraceFrame, DecodeError> {
+        let payload = if self.can_seek_past(frame_offset, len)? {
+            None
+        } else {
+            Some(self.read_payload(frame_offset, len)?)
+        };
+        self.offset = frame_offset + 5 + len as u64;
+        let (launches, version) = (&self.launches, self.version);
+        let (info, count) = match &payload {
+            None => {
+                let mut body =
+                    SkipBody { input: &mut self.input, left: len, kind, offset: frame_offset };
+                walk_batch(&mut body, kind, version, launches, &mut self.batch_bytes)?
+            }
+            Some(payload) => {
+                let mut body = Payload::new(payload);
+                walk_batch(&mut body, kind, version, launches, &mut self.batch_bytes).map_err(
+                    |what| DecodeError::BadFrame { kind, offset: frame_offset, what },
+                )?
+            }
+        };
+        self.records_scanned += count;
+        Ok(TraceFrame::Event(Event::Batch { info, records: Arc::new(Vec::new()) }))
+    }
+
+    /// Whether the frame at `frame_offset`, with a `len`-byte payload
+    /// next in the input, can be passed by seeking: false once the input
+    /// has failed to seek (a pipe or FIFO opened as a [`File`]).
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::TruncatedFrame`] when the frame runs past the end
+    /// of a seekable input.
+    fn can_seek_past(&mut self, frame_offset: u64, len: usize) -> Result<bool, DecodeError> {
+        if !self.seekable {
+            return Ok(false);
+        }
+        match self.input.bytes_left() {
+            Ok(left) if left < len as u64 => {
+                Err(DecodeError::TruncatedFrame { offset: frame_offset })
+            }
+            Ok(_) => Ok(true),
+            Err(e) if e.kind() == std::io::ErrorKind::NotSeekable => {
+                self.seekable = false;
+                Ok(false)
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Reads the `len`-byte payload of the frame at `frame_offset`.
+    /// Bounded: allocates only what actually arrives, so a huge (corrupt)
+    /// length on a short file fails cleanly.
+    fn read_payload(&mut self, frame_offset: u64, len: usize) -> Result<Vec<u8>, DecodeError> {
+        let mut payload = Vec::new();
+        let got = (&mut self.input)
+            .take(len as u64)
+            .read_to_end(&mut payload)
+            .map_err(DecodeError::from)?;
+        if got < len {
+            return Err(DecodeError::TruncatedFrame { offset: frame_offset });
+        }
+        Ok(payload)
+    }
+
     /// Streams every remaining frame on the calling thread: each event
     /// goes to `sink` as soon as it is decoded and is dropped after, so
     /// memory stays O(one batch) however long the trace; the tail frames
@@ -1291,13 +1457,54 @@ pub struct TraceTail {
     pub app_us: f64,
 }
 
+/// The skip walk of one batch frame's `body`: the launch id, which must
+/// be declared, then the record count and layout checks of its format,
+/// with every column body skipped. Returns the launch and the count.
+fn walk_batch<B: BatchBody>(
+    body: &mut B,
+    kind: u8,
+    version: u32,
+    launches: &HashMap<u64, Arc<LaunchInfo>>,
+    batch_bytes: &mut u64,
+) -> Result<(Arc<LaunchInfo>, u64), B::Error> {
+    if kind == FRAME_BATCH_COLUMNAR && version < 2 {
+        return Err(body.fault("columnar batch frame in a v1 trace"));
+    }
+    *batch_bytes += body.remaining() as u64;
+    let launch = match kind {
+        FRAME_BATCH => u64::from_le_bytes(body.array()?),
+        _ => body.uvarint()?,
+    };
+    let info = launches
+        .get(&launch)
+        .cloned()
+        .ok_or_else(|| body.fault("batch references an undeclared launch"))?;
+    let count = match kind {
+        FRAME_BATCH => {
+            let count = fixed_batch_count(body)?;
+            body.column(body.remaining())?;
+            count as u64
+        }
+        _ => codec::walk_columnar_batch(body)?.0,
+    };
+    Ok((info, count))
+}
+
+/// The structure of a v1 fixed-record batch after its launch id: a u32
+/// record count, then exactly that many 32-byte records. Returns the
+/// count; the records are not looked at.
+fn fixed_batch_count<B: BatchBody>(body: &mut B) -> Result<usize, B::Error> {
+    let count = u32::from_le_bytes(body.array()?) as usize;
+    if body.remaining() != count * AccessRecord::DEVICE_BYTES as usize {
+        return Err(body.fault("record count does not match payload length"));
+    }
+    Ok(count)
+}
+
 /// Decodes the body of a fixed-record (v1) batch frame — everything
 /// after the launch id: a u32 record count, then 32-byte records.
 fn decode_fixed_batch_payload(p: &mut Payload<'_>) -> Result<Vec<AccessRecord>, &'static str> {
-    let count = p.u32()? as usize;
-    if p.remaining() != count * AccessRecord::DEVICE_BYTES as usize {
-        return Err("record count does not match payload length");
-    }
+    let count = fixed_batch_count(p)?;
     let mut records = Vec::with_capacity(count);
     for _ in 0..count {
         let chunk: &[u8; 32] = p.bytes(32)?.try_into().expect("bytes(32) yields 32");

@@ -6,8 +6,10 @@
 //! at all. [`index_trace`] walks a trace once in the reader's
 //! skip-records scan mode ([`TraceReader::set_skip_records`]): every
 //! frame is validated structurally and its byte extent recorded, but no
-//! access record is materialized, so indexing costs encoded (compressed)
-//! bytes instead of record count. The result pairs a full
+//! batch payload is read into memory — the walk reads each batch's
+//! launch id, record count and column length prefixes and seeks past
+//! the column bodies — so indexing costs frames, not records or batch
+//! bytes. The result pairs a full
 //! [`TraceSummary`] — this scan is the only place summaries are
 //! computed — with per-frame byte offsets; a later full decode goes
 //! through [`crate::container::read_trace_file`].
@@ -18,10 +20,9 @@
 //! the event stream.
 
 use crate::codec::DecodeError;
-use crate::container::{TraceFrame, TraceReader};
+use crate::container::{TraceFrame, TraceInput, TraceReader};
 use crate::event::Event;
 use crate::summary::TraceSummary;
-use std::io::Read;
 use vex_gpu::hooks::ApiKind;
 
 /// What kind of frame a [`FrameEntry`] indexes. Batch frames cover both
@@ -72,7 +73,7 @@ impl FrameEntry {
 /// the record count — which is what lets a server keep *every* trace of
 /// a large directory indexed while decoding only the handful under
 /// active query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceIndex {
     /// Header fields and per-event-type counts.
     pub summary: TraceSummary,
@@ -97,13 +98,24 @@ impl TraceIndex {
     }
 }
 
-/// Indexes a complete trace stream.
+/// Indexes a complete trace stream: a byte slice, a file, or a
+/// buffered file ([`TraceInput`]).
+///
+/// Every non-batch frame is decoded and checked in full. Batch frames
+/// take the reader's skip walk ([`TraceReader::set_skip_records`]): the
+/// frame must lie inside the input, and its launch id, record count and
+/// column length prefixes must be well formed (a declared launch, a
+/// count within the limit, no empty column under a nonzero count,
+/// columns inside the payload, no trailing bytes), but the column
+/// bodies are skipped unread. Corruption confined to a column body is
+/// therefore not detected here; a replay that demands the column
+/// reports it.
 ///
 /// # Errors
 ///
 /// Any [`DecodeError`] the reader surfaces; a trace without its
 /// `Finish` trailer is [`DecodeError::TruncatedFrame`].
-pub fn index_trace<R: Read>(input: R) -> Result<TraceIndex, DecodeError> {
+pub fn index_trace<R: TraceInput>(input: R) -> Result<TraceIndex, DecodeError> {
     index_trace_with(input, |_, _| {})
 }
 
@@ -114,7 +126,7 @@ pub fn index_trace<R: Read>(input: R) -> Result<TraceIndex, DecodeError> {
 /// # Errors
 ///
 /// As [`index_trace`].
-pub fn index_trace_with<R: Read>(
+pub fn index_trace_with<R: TraceInput>(
     input: R,
     mut visit: impl FnMut(&FrameEntry, &TraceFrame),
 ) -> Result<TraceIndex, DecodeError> {

@@ -5,10 +5,11 @@
 //! trace of its store with one. The summary comes out of the index scan
 //! ([`crate::index::index_trace`]), which walks each frame exactly once
 //! in skip-records mode and keeps only counters and frame extents: batch
-//! frames are validated structurally but never expanded into access
-//! records, so the cost tracks the encoded (compressed) trace size
-//! rather than the record count, and it works on traces far larger than
-//! memory would allow for a full [`crate::container::RecordedTrace`].
+//! frames are validated structurally but never read into memory (their
+//! column bodies are skipped), so the cost tracks the frame count and
+//! the non-batch frames rather than the record count, and it works on
+//! traces far larger than memory would allow for a full
+//! [`crate::container::RecordedTrace`].
 
 use crate::container::TraceFlags;
 use crate::CollectorStats;

@@ -16,9 +16,19 @@
 //!   the same error as [`read_trace_with`] under the same projection,
 //!   keep launch identity, and never panic on corrupt input;
 //! * a trace whose captures miss bytes the coarse pass needs fails with
-//!   an error on every replay path, the CLI included.
+//!   an error on every replay path, the CLI included;
+//! * the skip walk — batch frames no pass reads, passed over in the
+//!   input instead of read — gives the same error and the same
+//!   `records_scanned` over every input (slice, cursor, file, buffered
+//!   file) and through every path that takes it: the coarse-only
+//!   streamed replay, the index scan, and `read_trace_with` under
+//!   [`ColumnSet::NONE`].
 
 use proptest::prelude::*;
+use std::fs::File;
+use std::io::{BufReader, Cursor};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use vex_bench::capture_gap_traces;
@@ -34,10 +44,11 @@ use vex_gpu::timing::DeviceSpec;
 use vex_gvprof::GvProfReplayError;
 use vex_trace::codec::{self, ColumnSet, DecodedBatch};
 use vex_trace::container::{
-    read_trace, read_trace_with, DecodeOptions, RecordedTrace, TraceFlags, TraceReader,
-    TraceTail, TraceWriter,
+    read_trace, read_trace_with, DecodeOptions, FormatVersion, RecordedTrace, TraceFlags,
+    TraceInput, TraceReader, TraceTail, TraceWriter,
 };
 use vex_trace::event::{Event, EventSink};
+use vex_trace::index::{index_trace, index_trace_file};
 use vex_trace::{AccessRecord, CollectorStats};
 
 /// Frame kind byte of v2 columnar batches (container layout, DESIGN.md §10).
@@ -80,10 +91,16 @@ fn varied_record(i: u64) -> AccessRecord {
 /// batch. Both passes are flagged, so coarse-only replays (the
 /// `ColumnSet::NONE` walk) accept it too.
 fn write_trace(batches: &[Vec<AccessRecord>]) -> Vec<u8> {
-    let writer = TraceWriter::new(
+    write_trace_v(batches, FormatVersion::V2)
+}
+
+/// [`write_trace`] in format `version`.
+fn write_trace_v(batches: &[Vec<AccessRecord>], version: FormatVersion) -> Vec<u8> {
+    let writer = TraceWriter::with_version(
         Vec::new(),
         &DeviceSpec::test_small(),
         TraceFlags { coarse: true, fine: true },
+        version,
     )
     .expect("header writes");
     for (k, records) in batches.iter().enumerate() {
@@ -194,9 +211,13 @@ fn replay_builders() -> Vec<ProfilerBuilder> {
 /// projection; and that the streaming path fails with
 /// `read_trace_with`'s error under every projection, alone and inside a
 /// streamed ValueExpert or GVProf replay.
-fn assert_identical_decode_error(bytes: &[u8], expect_contains: &str) {
+///
+/// Every skip path fails with that error too, its readers having counted
+/// `records_before` records ([`assert_skip_paths`]).
+fn assert_identical_decode_error(bytes: &[u8], expect_contains: &str, records_before: u64) {
     let full = read_trace(bytes).expect_err("full decode fails");
     assert!(full.to_string().contains(expect_contains), "unexpected error: {full}");
+    assert_skip_paths(bytes, &Err(full.clone()), records_before);
     let none = read_trace_with(bytes, &DecodeOptions { columns: ColumnSet::NONE })
         .expect_err("empty projection fails");
     assert_eq!(full, none, "error diverged under the empty projection");
@@ -467,7 +488,7 @@ fn oversized_count_mid_stream_fails_identically() {
     let mut payload = vec![1u8];
     codec::write_uvarint(&mut payload, 1 << 40);
     let corrupt = replace_frame(&bytes, frame_start, len, &payload);
-    assert_identical_decode_error(&corrupt, "record count exceeds limit");
+    assert_identical_decode_error(&corrupt, "record count exceeds limit", 20);
 }
 
 /// Trailing bytes after a mid-stream batch's columns fail identically.
@@ -480,7 +501,7 @@ fn trailing_bytes_mid_stream_fail_identically() {
     let mut payload = bytes[frame_start + 5..frame_start + 5 + len].to_vec();
     payload.push(0xEE);
     let corrupt = replace_frame(&bytes, frame_start, len, &payload);
-    assert_identical_decode_error(&corrupt, "trailing bytes after columnar batch");
+    assert_identical_decode_error(&corrupt, "trailing bytes after columnar batch", 20);
 }
 
 /// A trace truncated inside a batch frame fails identically (the reader
@@ -493,7 +514,7 @@ fn truncation_mid_batch_fails_identically() {
     let (frame_start, len) = find_batch_frame(&bytes, 2, &batches[2]);
     assert!(len > 8);
     let cut = &bytes[..frame_start + 5 + len / 2];
-    assert_identical_decode_error(cut, "ends mid-frame");
+    assert_identical_decode_error(cut, "ends mid-frame", 40);
 }
 
 /// A batch claiming the maximum 2^24 records over seven empty columns —
@@ -512,7 +533,7 @@ fn empty_columns_under_a_nonzero_count_fail_everywhere() {
     codec::write_uvarint(&mut payload, 1 << 24);
     payload.extend_from_slice(&[0; 7]);
     let corrupt = replace_frame(&bytes, frame_start, len, &payload);
-    assert_identical_decode_error(&corrupt, "truncated varint");
+    assert_identical_decode_error(&corrupt, "truncated varint", 20);
 
     let index = vex_trace::index::index_trace(corrupt.as_slice()).expect_err("index fails");
     assert!(matches!(index, codec::DecodeError::BadFrame { .. }), "{index:?}");
@@ -540,6 +561,172 @@ fn empty_columns_under_a_nonzero_count_fail_everywhere() {
     assert!(state.store().is_empty());
     assert_eq!(std::fs::read_dir(&served).expect("store dir").count(), 0, "nothing written");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Skip-walk conformance
+// ---------------------------------------------------------------------------
+
+/// `bytes` behind a pipe opened as a [`File`], which cannot seek, so the
+/// reader reads the batch frames it skips.
+#[cfg(unix)]
+fn piped(bytes: &[u8]) -> File {
+    use std::io::Write;
+    let (reader, mut writer) = std::io::pipe().expect("pipe");
+    let bytes = bytes.to_vec();
+    // Ends with an error once a failed walk drops the read end early.
+    std::thread::spawn(move || drop(writer.write_all(&bytes)));
+    File::from(std::os::fd::OwnedFd::from(reader))
+}
+
+/// A fresh path under the system temp directory for one test file.
+fn temp_trace_path() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("vex-skip-walk-{}-{n}.vex", std::process::id()))
+}
+
+/// Walks `input` frame by frame with the batch records undemanded —
+/// skip mode, or the [`ColumnSet::NONE`] projection — to its end or
+/// first error: the outcome, and the records the reader counted.
+fn walk<R: TraceInput>(input: R, skip_mode: bool) -> (Result<(), codec::DecodeError>, u64) {
+    let mut reader = TraceReader::new(input).expect("header is intact");
+    if skip_mode {
+        reader.set_skip_records(true);
+    } else {
+        reader.set_columns(ColumnSet::NONE);
+    }
+    loop {
+        match reader.next_frame() {
+            Ok(Some(_)) => {}
+            Ok(None) => return (Ok(()), reader.records_scanned()),
+            Err(e) => return (Err(e), reader.records_scanned()),
+        }
+    }
+}
+
+/// A coarse-only streamed replay of `input`: the `vex replay` path.
+fn coarse_replay<R: TraceInput>(input: R) -> Result<(), ReplayError> {
+    let reader = TraceReader::new(input).expect("header is intact");
+    ValueExpert::builder().coarse(true).fine(false).replay_reader(reader).map(drop)
+}
+
+/// Asserts that every path skipping the batch records of `bytes` ends
+/// with `want`: raw reader walks in skip mode and (v2 only, as `NONE`
+/// decodes v1 batches in full) under `NONE` over a slice, a cursor, a
+/// file and a buffered file, each having counted `records` records; the
+/// coarse-only `replay_reader` over a slice and a buffered file;
+/// `index_trace` over a slice and `index_trace_file`; and (v2)
+/// `read_trace_with(_, NONE)`.
+fn assert_skip_paths(bytes: &[u8], want: &Result<(), codec::DecodeError>, records: u64) {
+    let path = temp_trace_path();
+    std::fs::write(&path, bytes).expect("write trace");
+    let open = |p: &Path| File::open(p).expect("open trace");
+    let expected = (want.clone(), records);
+    let v2 = TraceReader::new(bytes).expect("header is intact").version() >= 2;
+    for skip_mode in [true, false].into_iter().filter(|&skip_mode| skip_mode || v2) {
+        assert_eq!(walk(bytes, skip_mode), expected, "slice, skip mode {skip_mode}");
+        assert_eq!(walk(Cursor::new(bytes), skip_mode), expected, "cursor, {skip_mode}");
+        assert_eq!(walk(open(&path), skip_mode), expected, "file, skip mode {skip_mode}");
+        let buffered = BufReader::new(open(&path));
+        assert_eq!(walk(buffered, skip_mode), expected, "buffered file, {skip_mode}");
+        #[cfg(unix)]
+        assert_eq!(walk(piped(bytes), skip_mode), expected, "pipe, skip mode {skip_mode}");
+    }
+    #[cfg(unix)]
+    {
+        let replayed = want.clone().map_err(ReplayError::Decode);
+        let piped_replay = coarse_replay(BufReader::new(piped(bytes)));
+        assert_eq!(piped_replay, replayed, "coarse-only replay, pipe");
+        assert_eq!(&index_trace(BufReader::new(piped(bytes))).map(drop), want, "index, pipe");
+    }
+    let replayed = want.clone().map_err(ReplayError::Decode);
+    assert_eq!(coarse_replay(bytes), replayed, "coarse-only replay, slice");
+    assert_eq!(
+        coarse_replay(BufReader::new(open(&path))),
+        replayed,
+        "coarse-only replay, file"
+    );
+    assert_eq!(&index_trace(bytes).map(drop), want, "index_trace");
+    assert_eq!(&index_trace_file(&path).map(drop), want, "index_trace_file");
+    if v2 {
+        let none = read_trace_with(bytes, &DecodeOptions { columns: ColumnSet::NONE });
+        assert_eq!(&none.map(drop), want, "read_trace_with(_, NONE)");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The three 20-record batches the skip-walk tests corrupt, and their
+/// v2 trace.
+fn three_batches() -> (Vec<Vec<AccessRecord>>, Vec<u8>) {
+    let batches: Vec<Vec<AccessRecord>> =
+        (0..3).map(|k| (k * 20..k * 20 + 20).map(varied_record).collect()).collect();
+    let bytes = write_trace(&batches);
+    (batches, bytes)
+}
+
+/// A clean trace walks to its end on every skip path, in both formats,
+/// counting every record, and `read_trace_with(_, NONE)` keeps one row
+/// per record.
+#[test]
+fn clean_trace_takes_every_skip_path() {
+    let (batches, bytes) = three_batches();
+    read_trace(&bytes).expect("full decode");
+    assert_skip_paths(&bytes, &Ok(()), 60);
+    let none = read_trace_with(&bytes, &DecodeOptions { columns: ColumnSet::NONE })
+        .expect("empty projection decodes");
+    let rows: Vec<usize> = batch_records(&none).iter().map(Vec::len).collect();
+    assert_eq!(rows, batches.iter().map(Vec::len).collect::<Vec<_>>());
+    let v1 = write_trace_v(&batches, FormatVersion::V1);
+    read_trace(&v1).expect("full decode");
+    assert_skip_paths(&v1, &Ok(()), 60);
+}
+
+/// A cut at every byte of a batch frame — its head, its prefixes, and
+/// inside a column body the skip walk never reads — fails as the
+/// truncated frame at the frame's offset on every skip path, having
+/// counted the earlier batches' records; v1 fixed-record frames too.
+#[test]
+fn cut_at_every_byte_of_a_batch_frame_fails_identically_on_every_skip_path() {
+    let (batches, bytes) = three_batches();
+    let (frame_start, len) = find_batch_frame(&bytes, 1, &batches[1]);
+    for cut in frame_start..frame_start + 5 + len {
+        let want = Err(codec::DecodeError::TruncatedFrame { offset: frame_start as u64 });
+        assert_eq!(read_trace(&bytes[..cut]).map(drop), want, "cut at {cut}");
+        assert_skip_paths(&bytes[..cut], &want, 20);
+    }
+
+    let v1 = write_trace_v(&batches, FormatVersion::V1);
+    let index = index_trace(v1.as_slice()).expect("v1 trace indexes");
+    let frame = index
+        .frames
+        .iter()
+        .filter(|f| f.kind == vex_trace::index::FrameKind::Batch)
+        .nth(1)
+        .expect("second batch frame");
+    for cut in [frame.offset, frame.offset + 4, frame.offset + 13, frame.end() - 1] {
+        let want = Err(codec::DecodeError::TruncatedFrame { offset: frame.offset });
+        assert_eq!(read_trace(&v1[..cut as usize]).map(drop), want, "v1 cut at {cut}");
+        assert_skip_paths(&v1[..cut as usize], &want, 20);
+    }
+}
+
+/// A column length reaching past the batch payload fails the structural
+/// walk on every path, the skip paths included.
+#[test]
+fn column_length_past_the_payload_fails_identically() {
+    let (batches, bytes) = three_batches();
+    let (frame_start, len) = find_batch_frame(&bytes, 1, &batches[1]);
+    let payload = &bytes[frame_start + 5..frame_start + 5 + len];
+    // launch-id varint, record-count varint, then the first column's
+    // length prefix.
+    let mut pos = 2;
+    let first = codec::read_uvarint(payload, &mut pos).expect("first column length");
+    let mut corrupt_payload = payload[..2].to_vec();
+    codec::write_uvarint(&mut corrupt_payload, first + len as u64);
+    corrupt_payload.extend_from_slice(&payload[pos..]);
+    let corrupt = replace_frame(&bytes, frame_start, len, &corrupt_payload);
+    assert_identical_decode_error(&corrupt, "column length exceeds payload", 20);
 }
 
 /// A trace whose captures miss bytes the coarse pass needs fails whole —
@@ -651,7 +838,18 @@ proptest! {
             .and_then(|trace| builder.clone().replay(&trace))
             .map(|p| p.render_text());
         let reader = TraceReader::new(bytes.as_slice()).expect("header decoded above");
-        let got = builder.replay_reader(reader).map(|p| p.render_text());
-        prop_assert_eq!(want, got);
+        let got = builder.clone().replay_reader(reader).map(|p| p.render_text());
+        prop_assert_eq!(&want, &got);
+        // The same replay and the index scan over the file, as `vex
+        // replay`, `vex info` and the server read it.
+        let path = temp_trace_path();
+        std::fs::write(&path, &bytes).expect("write trace");
+        let file = BufReader::new(File::open(&path).expect("open trace"));
+        let reader = TraceReader::new(file).expect("header decoded above");
+        let from_file = builder.replay_reader(reader).map(|p| p.render_text());
+        let indexed = (index_trace(bytes.as_slice()), index_trace_file(&path));
+        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(want, from_file);
+        prop_assert_eq!(indexed.0, indexed.1);
     }
 }

@@ -10,6 +10,8 @@
 //! trace also replays through the GVProf baseline, matching a live
 //! GVProf session's results and traffic counters.
 
+use std::fs::File;
+use std::io::BufReader;
 use vex_bench::{profile_app, record_app};
 use vex_core::prelude::*;
 use vex_core::profiler::ProfilerBuilder;
@@ -17,6 +19,7 @@ use vex_gpu::runtime::Runtime;
 use vex_gpu::timing::DeviceSpec;
 use vex_gvprof::GvProfSession;
 use vex_trace::container::{read_trace, read_trace_with, RecordedTrace, TraceReader};
+use vex_trace::index::{index_trace, index_trace_file};
 use vex_workloads::{all_apps, GpuApp, Variant};
 
 /// Every byte-comparable rendering of a profile.
@@ -124,12 +127,16 @@ fn assert_projected_replay_equivalent(
 /// Coarse + fine on every bundled workload, through every engine,
 /// materialized and streamed. A streamed coarse-only replay of the same
 /// recording — every batch frame takes the structural walk
-/// (`ColumnSet::NONE`) and allocates no records — matches the
-/// materialized coarse-only replay.
+/// (`ColumnSet::NONE`) and is skipped unread — matches the materialized
+/// coarse-only replay, from the bytes in memory and from the file, as
+/// `vex replay` reads it. Indexing the file (`vex info`, the server's
+/// index tier) and indexing the bytes give the same `TraceIndex`: every
+/// frame's offset, kind, size and record count, and the summary.
 #[test]
 fn every_workload_replays_byte_identically() {
     let both = || ValueExpert::builder().coarse(true).fine(true).block_sampling(4);
     let coarse = || ValueExpert::builder().coarse(true).fine(false);
+    let path = std::env::temp_dir().join(format!("vex-replay-eq-{}.vex", std::process::id()));
     for app in all_apps() {
         let (bytes, trace) = assert_replay_equivalent(app.as_ref(), &both);
         let expected = rendered(
@@ -138,7 +145,36 @@ fn every_workload_replays_byte_identically() {
                 .unwrap_or_else(|e| panic!("{}: coarse-only replay failed: {e}", app.name())),
         );
         assert_streams_to(app.as_ref(), &bytes, &coarse, &[1], &expected);
+
+        std::fs::write(&path, &bytes).expect("write trace");
+        let file = BufReader::new(File::open(&path).expect("open trace"));
+        let reader = TraceReader::new(file).unwrap_or_else(|e| panic!("{}: {e}", app.name()));
+        let from_file = coarse()
+            .replay_reader(reader)
+            .unwrap_or_else(|e| panic!("{}: coarse-only file replay failed: {e}", app.name()));
+        assert_eq!(expected, rendered(&from_file), "{}: file replay diverged", app.name());
+        let indexed = index_trace(bytes.as_slice()).expect("trace indexes");
+        assert_eq!(indexed.summary.records, trace_records(&trace), "{}", app.name());
+        assert_eq!(
+            index_trace_file(&path).expect("trace file indexes"),
+            indexed,
+            "{}: index of the file diverged from the index of the bytes",
+            app.name()
+        );
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Access records across the batches of a decoded trace.
+fn trace_records(trace: &RecordedTrace) -> u64 {
+    trace
+        .events
+        .iter()
+        .map(|e| match e {
+            vex_trace::event::Event::Batch { records, .. } => records.len() as u64,
+            _ => 0,
+        })
+        .sum()
 }
 
 /// Every workload's report is byte-identical between a full decode and
